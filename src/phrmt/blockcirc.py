@@ -45,6 +45,9 @@ __all__ = [
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
+# Rows per vectorised step of block-batch pairing and classification.
+_CHUNK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class BlockCirculant:
@@ -220,25 +223,81 @@ def classify_spacings_numeric(
     return classify_spacings(spec)
 
 
+def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
+    """Partner arrays of a (count, n) batch, equal row by row to
+    ``pair_conjugates``.
+
+    A row is paired here when every complex eigenvalue's nearest conjugate
+    is mutual, strictly nearer than the second nearest, and within the
+    tolerance; greedy matching then picks exactly these pairs.  Every other
+    row (ties, missing partners, non-finite entries) goes to
+    ``pair_conjugates`` itself.
+    """
+    count, n = spectra.shape
+    partner = np.empty((count, n), dtype=int)
+    idx = np.arange(n)
+    for start in range(0, count, _CHUNK_ROWS):
+        rows = spectra[start : start + _CHUNK_ROWS]
+        scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
+        tol = rtol * scale
+        real = np.abs(rows.imag) <= tol[:, None]
+        # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
+        # non-finite entries fall back, so inf - inf here is never used
+        with np.errstate(invalid="ignore"):
+            d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
+        d[real[:, :, None] | real[:, None, :]] = np.inf
+        d[:, idx, idx] = np.inf
+        near = np.argmin(d, axis=2)
+        d1, d2 = np.partition(d, 1, axis=2)[..., :2].transpose(2, 0, 1)
+        mutual = np.take_along_axis(near, near, axis=1) == idx
+        ok = real | (mutual & (d1 < d2) & (d1 <= tol[:, None]))
+        good = ok.all(axis=1) & np.isfinite(rows).all(axis=1)
+        partner[start : start + len(rows)] = np.where(real, idx, near)
+        for r in np.flatnonzero(~good):
+            partner[start + r] = pair_conjugates(rows[r], rtol)
+    return partner
+
+
+def _class_sizes(partner: np.ndarray) -> tuple[int, int, int]:
+    """cc/rc/generic value counts ``circulant._classify_arrays`` gives one
+    spectrum with this pairing."""
+    n = partner.size
+    n_real = int(np.count_nonzero(partner == np.arange(n)))
+    n_comp = n - n_real
+    n_cc = n_comp // 2
+    return n_cc, n_real * n_comp, n_comp * (n_comp - 1) // 2 - n_cc
+
+
 def classify_block_batch(
     spectra: np.ndarray, rtol: float = 1e-9
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Pooled spacing classes over a (count, 2N) batch of block spectra.
 
-    Pairing is re-detected per realization; the per-class values are
-    concatenated in realization order.
+    Pairing is re-detected per realization (see ``_pair_batch``); rows that
+    share a pairing are classified together and the per-class values are
+    kept in realization order.
     """
     from .circulant import _classify_arrays
 
-    cc_parts, rc_parts, gen_parts = [], [], []
-    for row in spectra:
-        partner = pair_conjugates(row, rtol)
-        cc, rc, gen = _classify_arrays(row[None, :], partner)
-        cc_parts.append(cc)
-        rc_parts.append(rc)
-        gen_parts.append(gen)
+    spectra = np.ascontiguousarray(spectra, dtype=complex)
+    partner = _pair_batch(spectra, rtol)
+    patterns, group = np.unique(partner, axis=0, return_inverse=True)
+    group = group.ravel()
+    sizes = np.array([_class_sizes(p) for p in patterns], dtype=np.int64)
+    per_row = sizes[group]  # (count, 3)
+    offsets = np.cumsum(per_row, axis=0) - per_row
+    out = [np.empty(int(total)) for total in per_row.sum(axis=0)]
+    for g, pattern in enumerate(patterns):
+        rows = np.flatnonzero(group == g)
+        for start in range(0, rows.size, _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS]
+            parts = _classify_arrays(spectra[chunk], pattern)
+            for c, values in enumerate(parts):
+                k = sizes[g, c]
+                dst = offsets[chunk, c][:, None] + np.arange(k)
+                out[c][dst] = values.reshape(chunk.size, k)
     return (
-        SpacingSample("cc", np.concatenate(cc_parts)),
-        SpacingSample("rc", np.concatenate(rc_parts)),
-        SpacingSample("generic", np.concatenate(gen_parts)),
+        SpacingSample("cc", out[0]),
+        SpacingSample("rc", out[1]),
+        SpacingSample("generic", out[2]),
     )

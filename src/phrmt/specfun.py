@@ -2,8 +2,8 @@
 
 Everything here is implemented in-repo (series, continued fractions, and a
 mixed-radix fast transform) so the numerical core carries no dependency
-beyond numpy arrays.  Scalar routines return Python floats; ``dft`` works on
-complex vectors.
+beyond numpy arrays.  Scalar routines return Python floats; ``erf`` also
+takes arrays, and ``dft`` works on complex vectors.
 
 Conventions
 -----------
@@ -127,27 +127,40 @@ def bessel_k0(x: float) -> float:
     return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
 
 
-def erf(x: float) -> float:
-    """Error function, odd in x.
+def erf(x):
+    """Error function, odd in x; a float for scalar input, else an array.
 
     Maclaurin series for |x| <= 2 (cancellation amplifies roundoff by at most
-    exp(4)), Lentz continued fraction for the complement above.
+    exp(4)), run elementwise on the whole array with a per-element stop;
+    Lentz continued fraction for the complement above, element by element.
     """
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    if x < 0.0:
-        return -erf(-x)
-    if x <= 2.0:
-        term = x
-        acc = x
-        for k in range(1, _MAX_TERMS):
-            term *= -x * x / k
-            inc = term / (2 * k + 1)
-            acc += inc
-            if abs(inc) <= 1e-17 * abs(acc):
-                break
-        return (2.0 / math.sqrt(math.pi)) * acc
+    arr = np.asarray(x, dtype=float)
+    ax = np.abs(arr).ravel()
+    vals = np.zeros(ax.size)
+    series = np.flatnonzero((ax > 0.0) & (ax <= 2.0))
+    xs = ax[series]
+    term = xs.copy()
+    acc = xs.copy()
+    for k in range(1, _MAX_TERMS):
+        if not series.size:
+            break
+        term *= -xs * xs / k
+        inc = term / (2 * k + 1)
+        acc += inc
+        done = np.abs(inc) <= 1e-17 * np.abs(acc)
+        vals[series[done]] = acc[done]
+        keep = ~done
+        series, xs, term, acc = series[keep], xs[keep], term[keep], acc[keep]
+    vals[series] = acc
+    vals *= 2.0 / math.sqrt(math.pi)
+    tail = np.flatnonzero(~(ax <= 2.0))  # NaN goes here, as in the scalar loop
+    vals[tail] = [_erf_cf(v) for v in ax[tail].tolist()]
+    out = np.where(arr < 0.0, -vals.reshape(arr.shape), vals.reshape(arr.shape))
+    return float(out) if out.ndim == 0 else out
+
+
+def _erf_cf(x: float) -> float:
+    """erf(x) for x > 2 from the Lentz continued fraction of erfc."""
     # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
     f = x
     c = x

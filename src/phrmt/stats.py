@@ -222,15 +222,7 @@ class GridCdf:
 
 def cdf_cc(z):
     """CDF of the half-Gaussian conjugate-pair law: erf(z / sqrt(pi))."""
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        return erf(float(arr) / math.sqrt(math.pi))
-    out = np.empty(arr.shape, dtype=float)
-    flat = arr.ravel()
-    dst = out.ravel()
-    for i in range(flat.size):
-        dst[i] = erf(flat[i] / math.sqrt(math.pi))
-    return out
+    return erf(np.asarray(z, dtype=float) / math.sqrt(math.pi))
 
 
 _RC_CDF: GridCdf | None = None

@@ -52,6 +52,25 @@ def series_erf(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * acc
 
 
+def scalar_loop_erf(x: float) -> float:
+    """erf(x) for |x| <= 2 by the library's Maclaurin recurrence and stop
+    rule, one float at a time: the reference for its array form."""
+    if x == 0.0:
+        return 0.0
+    if x < 0.0:
+        return -scalar_loop_erf(-x)
+    term = x
+    acc = x
+    k = 1
+    while True:
+        term *= -x * x / k
+        inc = term / (2 * k + 1)
+        acc += inc
+        if abs(inc) <= 1e-17 * abs(acc):
+            return (2.0 / math.sqrt(math.pi)) * acc
+        k += 1
+
+
 def quad_lower_gamma(a: float, z: float) -> float:
     """gamma(a, z) by adaptive quadrature of t^(a-1) e^-t."""
     if z == 0.0:

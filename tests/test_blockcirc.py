@@ -166,6 +166,112 @@ class TestConjugatePairing:
             assert np.allclose(np.sort(s.values), np.sort(n.values), rtol=1e-10)
 
 
+def _greedy_pairing(spectra):
+    return np.array([blockcirc.pair_conjugates(row) for row in spectra])
+
+
+def _greedy_classes(spectra):
+    """Per-row greedy pairing and classification, concatenated in row order."""
+    from phrmt.circulant import _classify_arrays
+
+    parts = [_classify_arrays(row[None, :], blockcirc.pair_conjugates(row)) for row in spectra]
+    return [np.concatenate(vals) for vals in zip(*parts)]
+
+
+def _count_greedy_calls(monkeypatch):
+    calls = []
+    greedy = blockcirc.pair_conjugates
+
+    def counted(eigs, rtol=1e-9):
+        calls.append(1)
+        return greedy(eigs, rtol)
+
+    monkeypatch.setattr(blockcirc, "pair_conjugates", counted)
+    return calls
+
+
+class TestBatchedPairing:
+    """The batched pairing must reproduce greedy ``pair_conjugates`` exactly."""
+
+    @pytest.mark.parametrize(
+        "sampler, n",
+        [
+            (blockcirc.sample_gaussian_blocks, 24),
+            (blockcirc.sample_gaussian_blocks, 25),
+            (blockcirc.sample_ising_blocks, 6),
+            (blockcirc.sample_ising_blocks, 24),
+            (blockcirc.sample_ising_blocks, 25),
+        ],
+    )
+    def test_matches_greedy_row_by_row(self, sampler, n):
+        # 300 rows span several pairing chunks, the last one partial
+        spectra = blockcirc.batch_block_spectra(sampler(n, 300, np.random.default_rng(n)))
+        assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), _greedy_pairing(spectra))
+        got = blockcirc.classify_block_batch(spectra)
+        want = _greedy_classes(spectra)
+        for sample, values in zip(got, want):
+            assert sample.values.tobytes() == values.tobytes(), sample.name
+
+    def test_near_real_pair_counts_as_real(self, monkeypatch):
+        # |Im| = 1e-12 is inside the 1e-9 tolerance: two reals, as in greedy
+        calls = _count_greedy_calls(monkeypatch)
+        spectra = np.array([[1.0 + 1e-12j, 1.0 - 1e-12j, 2.0 + 1.0j, 2.0 - 1.0j]])
+        assert blockcirc._pair_batch(spectra, 1e-9).tolist() == [[0, 1, 3, 2]]
+        assert not calls
+
+    def test_tied_row_falls_back_to_greedy(self, monkeypatch):
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_gaussian_blocks(6, 40, np.random.default_rng(5))
+        )
+        row = spectra[17]
+        partner = blockcirc.pair_conjugates(row)
+        i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]  # two conjugate pairs
+        row[k], row[partner[k]] = row[i], row[partner[i]]  # duplicate a conjugate pair
+        want_pairs = _greedy_pairing(spectra)
+        want = _greedy_classes(spectra)
+        calls = _count_greedy_calls(monkeypatch)
+        assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), want_pairs)
+        assert len(calls) == 1
+        for sample, values in zip(blockcirc.classify_block_batch(spectra), want):
+            assert sample.values.tobytes() == values.tobytes(), sample.name
+
+    def test_non_finite_rows_fall_back_to_greedy(self, monkeypatch):
+        spectra = np.array([[np.inf, 1 + 1j, 1 - 1j], [np.nan, 1 + 1j, 1 - 1j]])
+        want = _greedy_pairing(spectra)
+        calls = _count_greedy_calls(monkeypatch)
+        assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), want)
+        assert len(calls) == 2
+
+    def test_row_not_closed_under_conjugation_raises(self):
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_gaussian_blocks(6, 40, np.random.default_rng(6))
+        )
+        row = spectra[23]
+        row[np.argmax(np.abs(row.imag))] *= 1.1
+        with pytest.raises(ValueError, match="no conjugate partner"):
+            blockcirc.classify_block_batch(spectra)
+
+    def test_one_sided_nearest_conjugate_raises(self):
+        # x1 -> y -> x2 -> y: every nearest conjugate is strict and within
+        # tolerance but x1's is not mutual, and x2 has no partner left
+        eps = 1e-9
+        closed = [1 + 1j, 1 - 1j, 2.0, 3 + 2j, 3 - 2j]
+        broken = [1 + 1j, 1 - 1j + eps, 1 + 1j + 1.5 * eps, 3 + 2j, 3 - 2j]
+        with pytest.raises(ValueError, match="no conjugate partner"):
+            blockcirc.classify_block_batch(np.array([closed, broken]))
+
+    def test_mutual_tie_falls_back_to_greedy(self, monkeypatch):
+        # x's conjugate is exactly as near to y as to z, while y and z each
+        # have a mutual nearest; only the strictness rule sends this to greedy
+        delta = 2.0**-33  # exact in 1 +- delta, far inside the tolerance
+        closed = [1 + 1j, 1 - 1j, 3 + 2j, 3 - 2j]
+        tied = [1 + 1j, 1 - 1j + delta, 1 - 1j - delta, 1 + 1j - delta]
+        spectra = np.array([closed, tied])
+        calls = _count_greedy_calls(monkeypatch)
+        assert blockcirc._pair_batch(spectra, 1e-9).tolist() == [[1, 0, 3, 2], [1, 0, 3, 2]]
+        assert len(calls) == 1
+
+
 class TestGaussianBlockLaws:
     """Reduced-size law checks; the full-size run is in the acceptance suite."""
 

@@ -51,7 +51,19 @@ class TestSpacingCyclic:
         rc = json.loads((out / "gof_rc.json").read_text())
         cc = json.loads((out / "gof_cc.json").read_text())
         assert rc["reference_only"] is True
-        assert cc["reference_only"] is False
+        assert cc["reference_only"] is True  # the chain's cc law is not the half-Gaussian
+
+    def test_ising_cc_is_reported_not_asserted(self, tmp_path, capsys):
+        # the chain's cc spacings sit about 0.32 from the half-Gaussian law on
+        # a correct ensemble, so --assert must not turn that into exit 4
+        code = run(
+            "spacing-cyclic", "--n", "25", "--count", "100", "--blocks", "ising",
+            "--seed", "7", "--assert", "--out", str(tmp_path / "chain"),
+        )
+        assert code == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        cc = [line for line in lines if line.startswith("spacing_cc:")]
+        assert len(cc) == 1 and cc[0].endswith("[ref]")
 
     def test_reports_validate_against_schema(self, tmp_path):
         out = tmp_path / "v"
@@ -95,6 +107,35 @@ class TestDeterminism:
         ) == cli.EXIT_OK
         for name in ("spacing_cc.csv", "spacing_rc.csv", "spacing_generic.csv"):
             assert (out / name).read_bytes() == (replayed / name).read_bytes()
+
+
+class TestBadArguments:
+    """Invalid numbers exit 2 with one stderr line, before anything is drawn."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spacing-cyclic", "--n", "5", "--count", "0"], "--count"),
+            (["spacing-cyclic", "--n", "5", "--count", "10", "--bins", "0"], "--bins"),
+            (["spacing-cyclic", "--n", "5", "--count", "10", "--seed", "-3"], "--seed"),
+            (["spacing-cyclic", "--n", "5", "--count", "10", "--weight", "-1"], "--weight"),
+            (["spacing2x2", "--family", "f1", "--count", "10", "--sigma", "0"], "--sigma"),
+            (["spacing-cyclic", "--n", "5", "--count", "10", "--threads", "0"], "--threads"),
+            (
+                ["spacing-cyclic", "--n", "5", "--count", "10", "--blocks", "gaussian",
+                 "--block-scale", "0"],
+                "--block-scale",
+            ),
+        ],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(out))
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"argument {flag}:" in err
+        assert not out.exists()
 
 
 class TestSpacing2x2:

@@ -104,6 +104,37 @@ class TestErf:
         assert specfun.erf(10.0) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestErfArray:
+    """The array form must equal scalar calls and the scalar series loop."""
+
+    X = np.array(
+        [0.0, -0.0, 1e-300, -1e-300, 1e-8, 0.3, -0.3, 1.0, math.sqrt(math.pi) / 2.0,
+         np.nextafter(2.0, 0.0), 2.0, -2.0, np.nextafter(2.0, 3.0), 2.5, -3.0, 6.0, -10.0]
+    )
+
+    def test_matches_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([self.X, rng.normal(0.0, 1.5, 2000)])
+        got = specfun.erf(x)
+        want = np.array([specfun.erf(float(v)) for v in x])
+        assert got.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(got[:2]))  # erf(-0.0) is +0.0, as before
+
+    def test_series_branch_matches_scalar_loop(self):
+        # inside |x| <= 2 each element stops at its own term, as the loop does
+        x = np.concatenate([self.X[np.abs(self.X) <= 2.0], np.linspace(-2.0, 2.0, 401)])
+        want = np.array([oracles.scalar_loop_erf(float(v)) for v in x])
+        assert specfun.erf(x).tobytes() == want.tobytes()
+
+    def test_shape_and_scalar_type(self):
+        assert isinstance(specfun.erf(0.5), float)
+        assert isinstance(specfun.erf(np.float64(3.0)), float)
+        assert specfun.erf(np.zeros((2, 0))).shape == (2, 0)
+        grid = specfun.erf(self.X.reshape(1, -1))
+        assert grid.shape == (1, self.X.size)
+        assert grid.ravel().tobytes() == specfun.erf(self.X).tobytes()
+
+
 class TestGamma:
     def test_integers_and_half(self):
         assert specfun.gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
