@@ -45,8 +45,15 @@ __all__ = [
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-# Rows per vectorised step of block-batch pairing and classification.
-_CHUNK_ROWS = 128
+# Matrix entries (rows x spectrum length squared) per vectorised step of
+# block-batch pairing and classification; bounds the step's scratch memory
+# (a few MB) whatever the number of blocks.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per vectorised step for spectra of length n."""
+    return max(1, _CHUNK_ELEMS // (n * n))
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,9 @@ def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
     count, n = spectra.shape
     partner = np.empty((count, n), dtype=int)
     idx = np.arange(n)
-    for start in range(0, count, _CHUNK_ROWS):
-        rows = spectra[start : start + _CHUNK_ROWS]
+    step = _chunk_rows(n)
+    for start in range(0, count, step):
+        rows = spectra[start : start + step]
         scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
         tol = rtol * scale
         real = np.abs(rows.imag) <= tol[:, None]
@@ -247,8 +255,13 @@ def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
             d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
         d[real[:, :, None] | real[:, None, :]] = np.inf
         d[:, idx, idx] = np.inf
+        # nearest and second-nearest distance; the second is the minimum once
+        # the nearest entry is masked, so no sorted copy of d is kept
         near = np.argmin(d, axis=2)
-        d1, d2 = np.partition(d, 1, axis=2)[..., :2].transpose(2, 0, 1)
+        d1 = np.take_along_axis(d, near[..., None], axis=2)[..., 0]
+        np.put_along_axis(d, near[..., None], np.inf, axis=2)
+        d2 = np.min(d, axis=2)
+        del d
         mutual = np.take_along_axis(near, near, axis=1) == idx
         ok = real | (mutual & (d1 < d2) & (d1 <= tol[:, None]))
         good = ok.all(axis=1) & np.isfinite(rows).all(axis=1)
@@ -256,16 +269,6 @@ def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
         for r in np.flatnonzero(~good):
             partner[start + r] = pair_conjugates(rows[r], rtol)
     return partner
-
-
-def _class_sizes(partner: np.ndarray) -> tuple[int, int, int]:
-    """cc/rc/generic value counts ``circulant._classify_arrays`` gives one
-    spectrum with this pairing."""
-    n = partner.size
-    n_real = int(np.count_nonzero(partner == np.arange(n)))
-    n_comp = n - n_real
-    n_cc = n_comp // 2
-    return n_cc, n_real * n_comp, n_comp * (n_comp - 1) // 2 - n_cc
 
 
 def classify_block_batch(
@@ -280,17 +283,28 @@ def classify_block_batch(
     from .circulant import _classify_arrays
 
     spectra = np.ascontiguousarray(spectra, dtype=complex)
+    step = _chunk_rows(spectra.shape[1])
     partner = _pair_batch(spectra, rtol)
-    patterns, group = np.unique(partner, axis=0, return_inverse=True)
+    patterns, first, group = np.unique(
+        partner, axis=0, return_index=True, return_inverse=True
+    )
     group = group.ravel()
-    sizes = np.array([_class_sizes(p) for p in patterns], dtype=np.int64)
+    # values per class for one row of each pattern, read off the classifier
+    # itself on that pattern's first row
+    sizes = np.array(
+        [
+            [part.size for part in _classify_arrays(spectra[i : i + 1], pattern)]
+            for i, pattern in zip(first, patterns)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
     per_row = sizes[group]  # (count, 3)
     offsets = np.cumsum(per_row, axis=0) - per_row
     out = [np.empty(int(total)) for total in per_row.sum(axis=0)]
     for g, pattern in enumerate(patterns):
         rows = np.flatnonzero(group == g)
-        for start in range(0, rows.size, _CHUNK_ROWS):
-            chunk = rows[start : start + _CHUNK_ROWS]
+        for start in range(0, rows.size, step):
+            chunk = rows[start : start + step]
             parts = _classify_arrays(spectra[chunk], pattern)
             for c, values in enumerate(parts):
                 k = sizes[g, c]

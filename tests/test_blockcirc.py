@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,12 +206,32 @@ class TestBatchedPairing:
         ],
     )
     def test_matches_greedy_row_by_row(self, sampler, n):
-        # 300 rows span several pairing chunks, the last one partial
+        # at N >= 24, 300 rows span several vectorised steps, the last partial
         spectra = blockcirc.batch_block_spectra(sampler(n, 300, np.random.default_rng(n)))
         assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), _greedy_pairing(spectra))
         got = blockcirc.classify_block_batch(spectra)
         want = _greedy_classes(spectra)
         for sample, values in zip(got, want):
+            assert sample.values.tobytes() == values.tobytes(), sample.name
+
+    def test_large_spectra_pair_one_row_per_step(self):
+        # from N = 256 blocks a step holds one row, so the pairing scratch is
+        # one row's distance matrix (24 bytes an entry) whatever the batch size
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_ising_blocks(260, 16, np.random.default_rng(260))
+        )
+        n = spectra.shape[1]
+        assert blockcirc._chunk_rows(n) == 1
+        tracemalloc.start()
+        try:
+            partner = blockcirc._pair_batch(spectra, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 24 * n * n
+        assert np.array_equal(partner, _greedy_pairing(spectra))
+        got = blockcirc.classify_block_batch(spectra)
+        for sample, values in zip(got, _greedy_classes(spectra)):
             assert sample.values.tobytes() == values.tobytes(), sample.name
 
     def test_near_real_pair_counts_as_real(self, monkeypatch):
