@@ -356,8 +356,7 @@ def cmd_walk(args) -> list[stats.GofReport]:
     ent = np.empty(ts.size)
     dev = np.empty(ts.size)
     uniform = 1.0 / cfg.n_sites
-    for i, t in enumerate(ts):
-        state = walk.evolve_spectral(cfg, state0, int(t))
+    for i, state in enumerate(walk.evolve_spectral(cfg, state0, ts)):
         ent[i] = walk.entropy(state)
         dev[i] = float(np.max(np.abs(state.probs - uniform)))
     out = OutputDir(Path(args.out))
@@ -376,8 +375,6 @@ def cmd_walk(args) -> list[stats.GofReport]:
 
 
 def cmd_rmt_decay(args) -> list[stats.GofReport]:
-    if args.t_max < 1:
-        raise UsageError("t-max must be >= 1")
     ts = np.arange(args.t_max + 1)
     closed = np.array([walk.rmt_decay_closed_form(int(t)) for t in ts])
     asym = np.array([walk.rmt_decay_asymptotic(int(t)) for t in ts])
@@ -413,31 +410,40 @@ def cmd_replay(args) -> list[stats.GofReport]:
         raise UsageError(f"manifest {path} does not exist")
     manifest = json.loads(path.read_text())
     command = manifest.get("command")
-    handler = _COMMANDS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         raise UsageError(f"manifest names unknown command {command!r}")
     params = dict(manifest["params"])
-    params.pop("command", None)
     params["out"] = args.out if args.out else str(path.parent)
-    params.setdefault("assert_mode", False)
-    return handler(argparse.Namespace(**params))
+    # re-parse the recorded options, so a replay meets the same argument
+    # checks as the original command line before anything is sampled
+    parser = _build_parser()
+    flags = _option_flags(parser, command)
+    argv = [command]
+    argv += [f"{flags[k]}={v}" for k, v in params.items() if k in flags and v is not None]
+    return _dispatch(parser.parse_args(argv))
 
 
 # ---------------------------------------------------------------------------
 # wiring
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "spacing2x2": cmd_spacing2x2,
-    "spacing-cyclic": cmd_spacing_cyclic,
-    "walk": cmd_walk,
-    "rmt-decay": cmd_rmt_decay,
-}
+# the commands that write a manifest, and so can be replayed
+_COMMANDS = ("spacing2x2", "spacing-cyclic", "walk", "rmt-decay")
 
 
 def _params_dict(args) -> dict:
     skip = {"func", "assert_mode", "command"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _option_flags(parser: argparse.ArgumentParser, command: str) -> dict[str, str]:
+    """Option string of each of ``command``'s options, keyed by its dest."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        a.dest: a.option_strings[0]
+        for a in subparsers.choices[command]._actions
+        if a.option_strings
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -532,21 +538,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("walk", help="ring-walk entropy relaxation")
     sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--sites", type=int, help="number of ring sites")
+    sp.add_argument("--sites", type=_int_at_least(2), help="number of ring sites")
     sp.add_argument("--w", type=float, help="jump probability")
     sp.add_argument("--p", type=float, help="right-bias probability")
     sp.add_argument("--row", help="comma-separated hop row (overrides sites/w/p)")
     sp.add_argument("--start", type=int, help="delta-start site (default 0)")
-    sp.add_argument("--t-max", type=int, default=400, help="final time step")
+    sp.add_argument("--t-max", type=_int_at_least(0), default=400, help="final time step")
     _add_common(sp, with_rng=False)
     sp.set_defaults(func=cmd_walk, threads=1)
 
     sp = sub.add_parser("rmt-decay", help="ensemble decay-law curves")
-    sp.add_argument("--t-max", type=int, default=200, help="final time step")
-    sp.add_argument("--n", type=int, default=32, help="ring size for Monte Carlo")
+    sp.add_argument("--t-max", type=_int_at_least(1), default=200, help="final time step")
+    sp.add_argument("--n", type=_int_at_least(3), default=32, help="ring size for Monte Carlo")
     sp.add_argument(
         "--realizations",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help="Monte Carlo realizations per time step (0 = closed form only)",
     )

@@ -26,7 +26,8 @@ theta = 0 (real-axis) angular mode from the otherwise uniform phase density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# Round-off allowed below zero in a spectrally evolved occupation, per ring
+# site plus per time step; the worst seen is about 1.5 eps per site on mixing
+# rings up to 2048 sites and 0.7 eps per step on pure rotations to 10^6 steps.
+_SPECTRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
 # Normalization of the decay law: 1 / (erf(sqrt(pi)/2) - exp(-pi/4)).
 DECAY_NORM = 1.0 / (erf(math.sqrt(math.pi) / 2.0) - math.exp(-math.pi / 4.0))
@@ -100,16 +105,21 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class WalkState:
-    """Site-occupation probabilities at an integer time."""
+    """Site-occupation probabilities at an integer time.
+
+    Entries down to ``-roundoff`` count as round-off and are clipped to 0;
+    ``roundoff`` is a check on construction, not a stored field.
+    """
 
     t: int
     probs: np.ndarray
+    roundoff: InitVar[float] = 1e-14
 
-    def __post_init__(self):
+    def __post_init__(self, roundoff: float):
         if self.t < 0:
             raise ValueError("time must be nonnegative")
         probs = np.ascontiguousarray(self.probs, dtype=float)
-        if probs.min() < -1e-14:
+        if probs.min() < -roundoff:
             raise ValueError("occupation probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > _PROB_TOL:
             raise ValueError(f"occupation probabilities must sum to 1, got {probs.sum()!r}")
@@ -144,23 +154,40 @@ def _modes(cfg: WalkConfig) -> tuple[np.ndarray, np.ndarray]:
     return basis, lam
 
 
-def evolve_spectral(cfg: WalkConfig, p0: WalkState, t: int) -> WalkState:
+def evolve_spectral(
+    cfg: WalkConfig, p0: WalkState, t: int | Sequence[int]
+) -> WalkState | list[WalkState]:
     """State after t steps, computed in the Fourier eigenbasis.
 
     Exact for circulant transition matrices (they are all diagonal in the
     same unitary basis, normal or not); matches repeated matrix
-    multiplication to near roundoff.
+    multiplication to near roundoff.  Given a sequence of step counts, the
+    modes and start coefficients are built once and one state is returned
+    per entry, in order.
+
+    Evolved occupations may lie below zero by round-off that grows with the
+    ring size (the basis phases 2 pi k j / N reach 2 pi N) and, for
+    unit-modulus modes, with the time (the phase of lambda^t), so they are
+    checked against a tolerance in proportion to N + t rather than the fixed
+    one for states a caller builds.
     """
-    if t < 0:
+    single = np.ndim(t) == 0
+    steps = [int(s) for s in np.atleast_1d(t)]
+    if min(steps, default=0) < 0:
         raise ValueError("time must be nonnegative")
     if p0.probs.size != cfg.n_sites:
         raise ValueError("state size does not match the configuration")
-    if t == 0:
-        return p0  # identity power, exactly
     basis, lam = _modes(cfg)
     coeff = basis.conj().T @ p0.probs
-    probs = (basis @ (lam**t * coeff)).real
-    return WalkState(t=p0.t + t, probs=probs)
+    states = []
+    for s in steps:
+        if s == 0:
+            states.append(p0)  # identity power, exactly
+            continue
+        probs = (basis @ (lam**s * coeff)).real
+        roundoff = _SPECTRAL_ROUNDOFF * (cfg.n_sites + s)
+        states.append(WalkState(t=p0.t + s, probs=probs, roundoff=roundoff))
+    return states[0] if single else states
 
 
 def entropy(state: WalkState) -> float:
@@ -272,6 +299,12 @@ def rmt_decay_monte_carlo(
     keep total angular mass 1).  The excess-occupation mode sum for a delta
     start is evaluated at every site except the start and averaged; its
     expectation equals ``rmt_decay_closed_form(t)`` for t >= 1.
+
+    The estimate is real, so it is computed in real arithmetic: with
+    lambda = r e^{i theta}, Re[lambda^t] = r^t cos(t theta), and both angular
+    terms share r^t.  The real part of the complex mode sum is the sum of
+    these real parts, so this equals the real part of sum lambda^t to
+    round-off, without forming any complex power.
     """
     if n < 3:
         raise ValueError("need at least 3 sites")
@@ -284,9 +317,10 @@ def rmt_decay_monte_carlo(
     # Site average over j != 0 of the mode sum: sum_{j != 0} omega_j^l = -1
     # for every l >= 1, so the average collapses to a plain mode sum.
     site_factor = -1.0 / (n * (n - 1))
-    s_uniform = ((r * np.exp(1j * theta)) ** t).sum(axis=1) * site_factor
-    s_axis = (r**t).sum(axis=1) * site_factor
-    est = n * (2.0 * s_uniform - s_axis).real
+    rt = r**t
+    s_uniform = (rt * np.cos(t * theta)).sum(axis=1) * site_factor
+    s_axis = rt.sum(axis=1) * site_factor
+    est = n * (2.0 * s_uniform - s_axis)
     mean = float(est.mean())
     stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
     return mean, stderr

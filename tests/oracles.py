@@ -115,6 +115,22 @@ def dft_per_term(v) -> np.ndarray:
     return out
 
 
+def complex_power_decay_estimate(r, theta, t: int) -> tuple[float, float]:
+    """Monte Carlo decay estimate (mean, standard error) from given draws of
+    eigenvalue moduli ``r`` and phases ``theta`` (one row per realization),
+    by raising each complex eigenvalue r e^{i theta} to the t-th power and
+    keeping the real part of the mode sums."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    realizations, modes = r.shape
+    n = modes + 1
+    site_factor = -1.0 / (n * (n - 1))
+    s_uniform = ((r * np.exp(1j * theta)) ** t).sum(axis=1) * site_factor
+    s_axis = (r**t).sum(axis=1) * site_factor
+    est = n * (2.0 * s_uniform - s_axis).real
+    return float(est.mean()), float(est.std(ddof=1) / math.sqrt(realizations))
+
+
 def char_poly_eigs_2x2(m) -> tuple[complex, complex]:
     """Roots of the characteristic polynomial via numpy's polynomial solver."""
     m = np.asarray(m, dtype=complex)

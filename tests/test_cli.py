@@ -108,6 +108,23 @@ class TestDeterminism:
         for name in ("spacing_cc.csv", "spacing_rc.csv", "spacing_generic.csv"):
             assert (out / name).read_bytes() == (replayed / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rmt-decay", "--t-max", "12", "--n", "8", "--realizations", "300", "--seed", "2"],
+            ["walk", "--row", "0.2,0.24,0,0,0.56", "--start", "3", "--t-max", "40"],
+        ],
+        ids=["rmt-decay", "walk"],
+    )
+    def test_replay_reproduces_other_commands(self, tmp_path, argv):
+        out, replayed = tmp_path / "orig", tmp_path / "replayed"
+        assert run(*argv, "--out", str(out)) == cli.EXIT_OK
+        assert run(
+            "replay", "--manifest", str(out / "manifest.json"), "--out", str(replayed)
+        ) == cli.EXIT_OK
+        (csv,) = [p.name for p in out.glob("*.csv")]
+        assert (out / csv).read_bytes() == (replayed / csv).read_bytes()
+
 
 class TestBadArguments:
     """Invalid numbers exit 2 with one stderr line, before anything is drawn."""
@@ -126,12 +143,42 @@ class TestBadArguments:
                  "--block-scale", "0"],
                 "--block-scale",
             ),
+            (["rmt-decay", "--n", "2", "--realizations", "10"], "--n"),
+            (["rmt-decay", "--realizations", "-4"], "--realizations"),
+            (["rmt-decay", "--t-max", "0"], "--t-max"),
+            (["walk", "--sites", "5", "--w", "0.5", "--p", "0.5", "--t-max", "-1"], "--t-max"),
+            (["walk", "--sites", "1", "--w", "0.5", "--p", "0.5"], "--sites"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", str(out))
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"argument {flag}:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, value, flag",
+        [
+            (["spacing-cyclic", "--n", "5", "--count", "50"], "bins", 0, "--bins"),
+            (["rmt-decay", "--t-max", "3", "--realizations", "10"], "n", 2, "--n"),
+        ],
+    )
+    def test_edited_manifest_replay_exit_2(self, tmp_path, capsys, argv, key, value, flag):
+        # replay parses the recorded options like a command line, so an
+        # edited manifest fails before anything is drawn
+        orig = tmp_path / "orig"
+        assert run(*argv, "--out", str(orig)) == cli.EXIT_OK
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["params"][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run("replay", "--manifest", str(edited), "--out", str(out))
         assert exc.value.code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"argument {flag}:" in err

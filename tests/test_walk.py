@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
 from phrmt import walk
 from phrmt.walk import WalkConfig, WalkState
 
@@ -119,6 +120,41 @@ class TestEvolution:
         for t in range(0, 800, 25):
             out = walk.evolve_spectral(RING22, state, t)
             assert abs(out.probs.sum() - 1.0) <= 1e-12
+
+    def test_time_sequence_matches_single_steps(self):
+        state = WalkState.delta(22, 5)
+        ts = np.arange(0, 120, 7)
+        states = walk.evolve_spectral(RING22, state, ts)
+        assert states[0] is state
+        for t, out in zip(ts, states):
+            single = walk.evolve_spectral(RING22, state, int(t))
+            assert out.t == single.t == t
+            assert np.array_equal(out.probs, single.probs)
+        assert walk.evolve_spectral(RING22, state, []) == []
+        with pytest.raises(ValueError):
+            walk.evolve_spectral(RING22, state, [3, -1])
+
+    @pytest.mark.parametrize("n_sites", [128, 256, 512])
+    def test_large_rings_within_scaled_roundoff(self, n_sites):
+        # spectral round-off below zero grows with the ring size; a fixed
+        # -1e-14 floor rejected these evolutions from 128 sites on.  Clipping
+        # that round-off to 0 adds at most about 1e-14 per site to the sum.
+        cfg = WalkConfig(n_sites=n_sites, w=0.8, p=0.3)
+        for out in walk.evolve_spectral(cfg, WalkState.delta(n_sites, 0), range(60)):
+            assert out.probs.min() >= 0.0
+            assert abs(out.probs.sum() - 1.0) <= n_sites * 1e-14
+
+    def test_long_rotation_within_scaled_roundoff(self):
+        # unit-modulus modes carry phase round-off that grows with t
+        cfg = WalkConfig(n_sites=5, w=1.0, p=1.0)
+        out = walk.evolve_spectral(cfg, WalkState.delta(5, 0), range(995, 1001))
+        assert [int(np.argmax(s.probs)) for s in out] == [(-t) % 5 for t in range(995, 1001)]
+
+    def test_negative_input_still_rejected(self):
+        with pytest.raises(ValueError):
+            WalkState(0, np.array([-1e-13, 1.0 + 1e-13]))
+        with pytest.raises(ValueError):
+            WalkState(0, np.array([-0.1, 1.1]))
 
 
 class TestEntropy:
@@ -239,6 +275,18 @@ class TestDecayMonteCarlo:
         _, se_big = walk.rmt_decay_monte_carlo(16, 4, 50_000, rng)
         ratio = se_small / se_big
         assert 3.0 < ratio < 8.5  # ~sqrt(25) = 5 up to sampling noise
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 50, 99, 100, 101, 200])
+    def test_matches_complex_power_oracle(self, t):
+        # numpy's complex power switches from repeated squaring to
+        # exp(t log z) at t = 100
+        n, realizations = 32, 500
+        rng = np.random.default_rng(74)
+        r = walk.sample_decay_moduli(realizations * (n - 1), rng).reshape(realizations, n - 1)
+        theta = rng.uniform(-math.pi, math.pi, size=(realizations, n - 1))
+        want = oracles.complex_power_decay_estimate(r, theta, t)
+        got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(74))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_domain(self):
         rng = np.random.default_rng(0)
