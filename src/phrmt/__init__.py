@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* ``specfun``   -- self-contained special functions and the DFT
+* ``specfun``   -- self-contained special functions and the Fourier transform
 * ``pseudo2x2`` -- the five structured 2x2 families and the K0 spacing law
 * ``circulant`` -- random real circulants and their three exact spacing laws
 * ``blockcirc`` -- circulants of 2x2 blocks (Gaussian and coupled-chain forms)

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import SpacingSample, Spectrum, generalized_parity
+from .pseudo2x2 import eigenvalues2
+from .specfun import fourier
 
 __all__ = [
     "BlockCirculant",
@@ -39,7 +41,6 @@ __all__ = [
     "sample_gaussian_blocks",
     "sample_ising_blocks",
     "pair_conjugates",
-    "classify_spacings_numeric",
     "classify_block_batch",
 ]
 
@@ -104,35 +105,19 @@ def pseudo_orthogonality_residual_block(b: BlockCirculant) -> float:
     return float(np.max(np.abs(sig @ m @ sig - m.conj().T)))
 
 
-def _block_transform(blocks: np.ndarray) -> np.ndarray:
-    """Ahat_l = sum_p blocks[p] exp(2 pi i p l / N) for all l, batched."""
-    n = blocks.shape[-3]
-    k = np.arange(n)
-    w = np.exp((2j * np.pi / n) * np.outer(k, k))
-    return np.einsum("lp,...pij->...lij", w, blocks)
-
-
-def _eigs_2x2_batch(mats: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues of a (..., 2, 2) stack, shape (..., 2)."""
-    tr = mats[..., 0, 0] + mats[..., 1, 1]
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det + 0j)
-    return np.stack([0.5 * (tr + disc), 0.5 * (tr - disc)], axis=-1)
-
-
 def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
     """Spectra of many block circulants: (count, N, 2, 2) -> (count, 2N)."""
     blocks = np.ascontiguousarray(blocks, dtype=complex)
     if blocks.ndim != 4 or blocks.shape[2:] != (2, 2):
         raise ValueError("expected shape (count, N, 2, 2)")
-    eigs = _eigs_2x2_batch(_block_transform(blocks))
+    eigs = np.stack(eigenvalues2(fourier(blocks, axis=-3)), axis=-1)
     return eigs.reshape(blocks.shape[0], -1)
 
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:
     """All 2N eigenvalues via the block Fourier reduction, with numerically
     detected conjugation pairing."""
-    eigs = _eigs_2x2_batch(_block_transform(b.blocks)).ravel()
+    eigs = batch_block_spectra(b.blocks[None])[0]
     return Spectrum(eigs=eigs, partner=pair_conjugates(eigs))
 
 
@@ -218,16 +203,6 @@ def pair_conjugates(eigs: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
         partner[i] = j
         partner[j] = i
     return partner
-
-
-def classify_spacings_numeric(
-    eigs: np.ndarray, rtol: float = 1e-9
-) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """cc/rc/generic spacing classes of one spectrum with numeric pairing."""
-    spec = Spectrum(eigs=np.ascontiguousarray(eigs, dtype=complex), partner=pair_conjugates(eigs, rtol))
-    from .circulant import classify_spacings
-
-    return classify_spacings(spec)
 
 
 def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:

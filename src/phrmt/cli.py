@@ -1,8 +1,10 @@
 """Command-line experiment runner.
 
-Each subcommand samples an ensemble (or evaluates a law), writes plot-ready
-CSV files plus JSON goodness-of-fit reports, and records a run manifest that
-can be replayed to reproduce the outputs byte for byte.
+Each subcommand samples an ensemble (or evaluates a law) and returns the
+text of its plot-ready CSV files and JSON goodness-of-fit reports.  Only once
+everything is computed does ``_dispatch`` write them, plus a run manifest
+that can be replayed to reproduce the outputs byte for byte; a failed write
+removes every file of the run.
 
 Subcommands
 -----------
@@ -79,30 +81,32 @@ class OutputDir:
         self.written.append(target)
         return target
 
-    def write_csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
-        rows = zip(*[np.asarray(col) for col in columns])
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        return self.write_text(name, "\n".join(lines) + "\n")
-
-    def write_json(self, name: str, payload: dict) -> Path:
-        return self.write_text(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
     def rollback(self):
         for f in self.written:
             f.unlink(missing_ok=True)
 
 
-def _write_manifest(out: OutputDir, command: str, params: dict, seed: int) -> None:
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    rows = zip(*[np.asarray(col) for col in columns])
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_manifest(out: OutputDir, args) -> None:
     manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
+        "command": args.command,
+        "params": _params_dict(args),
+        "seed": args.seed,
         "version": __version__,
         "created_at": _utc_now(),
         "outputs": [p.name for p in out.written],
     }
-    out.write_json("manifest.json", manifest)
+    out.write_text("manifest.json", _json_text(manifest))
 
 
 def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
@@ -121,21 +125,14 @@ def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _histogram_csv(
-    out: OutputDir,
-    name: str,
-    values: np.ndarray,
-    bins: int,
-    hi: float,
-    analytic_pdf=None,
-) -> None:
+def _histogram_csv(values: np.ndarray, bins: int, hi: float, analytic_pdf=None) -> str:
     hist = stats.histogram(values, np.linspace(0.0, hi, bins + 1))
     cols = [hist.centers, hist.densities()]
     header = ["bin_center", "empirical_density"]
     if analytic_pdf is not None:
         cols.append(np.array([analytic_pdf(c) for c in hist.centers]))
         header.append("analytic_density")
-    out.write_csv(name, header, cols)
+    return _csv_text(header, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +142,7 @@ def _histogram_csv(
 _FAMILY_BY_NAME = {tag.value: tag for tag in pseudo2x2.FamilyTag}
 
 
-def cmd_spacing2x2(args) -> list[stats.GofReport]:
+def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     try:
         tag = _FAMILY_BY_NAME[args.family]
     except KeyError:
@@ -153,53 +150,36 @@ def cmd_spacing2x2(args) -> list[stats.GofReport]:
             f"unknown family {args.family!r}; choose from {sorted(_FAMILY_BY_NAME)}"
         )
     family = pseudo2x2.Family2x2(tag, epsilon=args.epsilon)
-    out = OutputDir(Path(args.out))
-    reports: list[stats.GofReport] = []
-    try:
-        if tag is pseudo2x2.FamilyTag.F1_ANTIDIAG_IMAG:
-            spac = _chunked_sample(
-                lambda sz, rng: pseudo2x2.spacing_samples_f1(sz, args.sigma, rng).real,
-                args.count,
-                args.seed,
-                args.threads,
-            )
-            _histogram_csv(
-                out,
-                f"spacing2x2_{args.family}.csv",
-                spac,
-                args.bins,
-                8.0 * args.sigma,
-                analytic_pdf=lambda s: pseudo2x2.spacing_pdf_f1(s, args.sigma),
-            )
-            rep = stats.ks_statistic(
-                np.sort(spac),
-                lambda s: pseudo2x2.spacing_cdf_f1(s, args.sigma),
-                pass_threshold=args.ks_threshold,
-                label=f"spacing2x2_{args.family}",
-            )
-            reports.append(rep)
-            out.write_json(f"gof_spacing2x2_{args.family}.json", rep.to_dict())
-        else:
+    name = f"spacing2x2_{args.family}"
+    if tag is not pseudo2x2.FamilyTag.F1_ANTIDIAG_IMAG:
 
-            def draw(sz, rng):
-                params = pseudo2x2.sample_params(family, args.sigma, sz, rng)
-                vals = np.empty(sz)
-                names = sorted(params)
-                for i in range(sz):
-                    m = pseudo2x2.family_matrix(family, **{k: params[k][i] for k in names})
-                    e1, e2 = pseudo2x2.eigenvalues2(m)
-                    vals[i] = abs(e1 - e2)
-                return vals
+        def draw(sz, rng):
+            params = pseudo2x2.sample_params(family, args.sigma, sz, rng)
+            e1, e2 = pseudo2x2.eigenvalues2(pseudo2x2.family_matrix(family, **params))
+            return np.abs(e1 - e2)
 
-            spac = _chunked_sample(draw, args.count, args.seed, args.threads)
-            _histogram_csv(
-                out, f"spacing2x2_{args.family}.csv", spac, args.bins, 8.0 * args.sigma
-            )
-        _write_manifest(out, "spacing2x2", _params_dict(args), args.seed)
-    except BaseException:
-        out.rollback()
-        raise
-    return reports
+        spac = _chunked_sample(draw, args.count, args.seed, args.threads)
+        return {f"{name}.csv": _histogram_csv(spac, args.bins, 8.0 * args.sigma)}, []
+
+    spac = _chunked_sample(
+        lambda sz, rng: pseudo2x2.spacing_samples_f1(sz, args.sigma, rng).real,
+        args.count,
+        args.seed,
+        args.threads,
+    )
+    csv = _histogram_csv(
+        spac,
+        args.bins,
+        8.0 * args.sigma,
+        analytic_pdf=lambda s: pseudo2x2.spacing_pdf_f1(s, args.sigma),
+    )
+    rep = stats.ks_statistic(
+        np.sort(spac),
+        lambda s: pseudo2x2.spacing_cdf_f1(s, args.sigma),
+        pass_threshold=args.ks_threshold,
+        label=name,
+    )
+    return {f"{name}.csv": csv, f"gof_{name}.json": _json_text(rep.to_dict())}, [rep]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +198,10 @@ _CLASS_CDFS = {
 }
 
 
-def cmd_spacing_cyclic(args) -> list[stats.GofReport]:
+def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     classes = ["cc", "rc", "generic"] if args.klass == "all" else [args.klass]
     if args.blocks == "none" and args.n == 3 and args.klass == "generic":
         raise UsageError("no generic pairs at N=3")
-    if args.n < 3:
-        raise UsageError("need N >= 3")
 
     if args.blocks == "none":
         def draw(sz, rng):
@@ -245,42 +223,31 @@ def cmd_spacing_cyclic(args) -> list[stats.GofReport]:
             zip(("cc", "rc", "generic"), blockcirc.classify_block_batch(spectra))
         )
 
-    out = OutputDir(Path(args.out))
+    files: dict[str, str] = {}
     reports: list[stats.GofReport] = []
-    try:
-        for klass in classes:
-            sample = samples[klass]
-            if sample.values.size == 0:
-                if args.klass == "all":
-                    continue  # e.g. scalar N <= 4 has at most one conjugate pair
-                raise UsageError(f"no {klass} pairs for this configuration")
-            normed = stats.normalize_unit_mean(sample)
-            # the coupled-chain ensemble does not follow the scalar laws (its
-            # cc law is derived in docs/decisions.md), so its reports are
-            # reference-only
-            reference_only = args.blocks == "ising"
-            _histogram_csv(
-                out,
-                f"spacing_{klass}.csv",
-                normed.values,
-                args.bins,
-                5.0,
-                analytic_pdf=_CLASS_PDFS[klass],
-            )
-            rep = stats.ks_statistic(
-                np.sort(normed.values),
-                _CLASS_CDFS[klass],
-                pass_threshold=args.ks_threshold,
-                label=f"spacing_{klass}",
-            )
-            rep = dataclasses.replace(rep, reference_only=reference_only)
-            reports.append(rep)
-            out.write_json(f"gof_{klass}.json", rep.to_dict())
-        _write_manifest(out, "spacing-cyclic", _params_dict(args), args.seed)
-    except BaseException:
-        out.rollback()
-        raise
-    return reports
+    for klass in classes:
+        sample = samples[klass]
+        if sample.values.size == 0:
+            if args.klass == "all":
+                continue  # e.g. scalar N <= 4 has at most one conjugate pair
+            raise UsageError(f"no {klass} pairs for this configuration")
+        normed = stats.normalize_unit_mean(sample)
+        files[f"spacing_{klass}.csv"] = _histogram_csv(
+            normed.values, args.bins, 5.0, analytic_pdf=_CLASS_PDFS[klass]
+        )
+        rep = stats.ks_statistic(
+            np.sort(normed.values),
+            _CLASS_CDFS[klass],
+            pass_threshold=args.ks_threshold,
+            label=f"spacing_{klass}",
+        )
+        # the coupled-chain ensemble does not follow the scalar laws (its cc
+        # law is derived in docs/decisions.md), so its reports are
+        # reference-only
+        rep = dataclasses.replace(rep, reference_only=args.blocks == "ising")
+        reports.append(rep)
+        files[f"gof_{klass}.json"] = _json_text(rep.to_dict())
+    return files, reports
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +316,7 @@ def _walk_config_from(args) -> tuple[walk.WalkConfig, int]:
     return cfg, start
 
 
-def cmd_walk(args) -> list[stats.GofReport]:
+def cmd_walk(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     cfg, start = _walk_config_from(args)
     state0 = walk.WalkState.delta(cfg.n_sites, start)
     ts = np.arange(args.t_max + 1)
@@ -359,14 +326,8 @@ def cmd_walk(args) -> list[stats.GofReport]:
     for i, state in enumerate(walk.evolve_spectral(cfg, state0, ts)):
         ent[i] = walk.entropy(state)
         dev[i] = float(np.max(np.abs(state.probs - uniform)))
-    out = OutputDir(Path(args.out))
-    try:
-        out.write_csv("walk.csv", ["t", "entropy_kb", "max_abs_dev_from_uniform"], [ts, ent, dev])
-        _write_manifest(out, "walk", _params_dict(args), args.seed)
-    except BaseException:
-        out.rollback()
-        raise
-    return []
+    header = ["t", "entropy_kb", "max_abs_dev_from_uniform"]
+    return {"walk.csv": _csv_text(header, [ts, ent, dev])}, []
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +335,7 @@ def cmd_walk(args) -> list[stats.GofReport]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_rmt_decay(args) -> list[stats.GofReport]:
+def cmd_rmt_decay(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     ts = np.arange(args.t_max + 1)
     closed = np.array([walk.rmt_decay_closed_form(int(t)) for t in ts])
     asym = np.array([walk.rmt_decay_asymptotic(int(t)) for t in ts])
@@ -389,14 +350,7 @@ def cmd_rmt_decay(args) -> list[stats.GofReport]:
             mc[i], se[i] = walk.rmt_decay_monte_carlo(args.n, int(t), args.realizations, rngs[i])
         header += ["monte_carlo_scaled", "monte_carlo_stderr"]
         cols += [mc, se]
-    out = OutputDir(Path(args.out))
-    try:
-        out.write_csv("decay.csv", header, cols)
-        _write_manifest(out, "rmt-decay", _params_dict(args), args.seed)
-    except BaseException:
-        out.rollback()
-        raise
-    return []
+    return {"decay.csv": _csv_text(header, cols)}, []
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +358,8 @@ def cmd_rmt_decay(args) -> list[stats.GofReport]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_replay(args) -> list[stats.GofReport]:
+def _replay_args(args) -> argparse.Namespace:
+    """The recorded command's arguments, parsed from a manifest."""
     path = Path(args.manifest)
     if not path.exists():
         raise UsageError(f"manifest {path} does not exist")
@@ -420,7 +375,7 @@ def cmd_replay(args) -> list[stats.GofReport]:
     flags = _option_flags(parser, command)
     argv = [command]
     argv += [f"{flags[k]}={v}" for k, v in params.items() if k in flags and v is not None]
-    return _dispatch(parser.parse_args(argv))
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +461,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spacing2x2", help="2x2 family level-spacing run")
     sp.add_argument("--family", required=True, help="f1 | f2 | f3 | f4 | f5")
     sp.add_argument("--sigma", type=_positive_float, default=1.0, help="ensemble width")
-    sp.add_argument("--epsilon", type=float, default=1.0, help="f3 scaling parameter")
+    sp.add_argument("--epsilon", type=_positive_float, default=1.0, help="f3 scaling parameter")
     sp.add_argument("--count", type=_int_at_least(1), required=True, help="number of draws")
     _add_common(sp)
     sp.set_defaults(func=cmd_spacing2x2)
 
     sp = sub.add_parser("spacing-cyclic", help="circulant spacing-class run")
-    sp.add_argument("--n", type=int, required=True, help="matrix size (or block count)")
+    sp.add_argument(
+        "--n", type=_int_at_least(3), required=True, help="matrix size (or block count)"
+    )
     sp.add_argument("--weight", type=_positive_float, default=1.0, help="Gaussian weight A")
     sp.add_argument(
         "--count", type=_int_at_least(1), required=True, help="number of realizations"
@@ -562,13 +519,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("replay", help="re-run a recorded manifest")
     sp.add_argument("--manifest", required=True, help="path to manifest.json")
     sp.add_argument("--out", help="output directory (default: beside the manifest)")
-    sp.set_defaults(func=cmd_replay, assert_mode=False)
+    sp.set_defaults(assert_mode=False)
 
     return parser
 
 
 def _dispatch(args) -> list[stats.GofReport]:
-    return args.func(args)
+    """Run a command, then write its outputs and manifest to ``args.out``.
+
+    A command returns the name and text of each output file, in write order,
+    and its goodness-of-fit reports; it writes nothing itself.  So nothing
+    is created before everything is computed, and if a write fails the files
+    already written are removed.
+    """
+    if args.command == "replay":
+        args = _replay_args(args)
+    files, reports = args.func(args)
+    out = OutputDir(Path(args.out))
+    try:
+        for name, text in files.items():
+            out.write_text(name, text)
+        _write_manifest(out, args)
+    except BaseException:
+        out.rollback()
+        raise
+    return reports
 
 
 def main(argv=None) -> int:

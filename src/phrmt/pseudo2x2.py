@@ -133,47 +133,57 @@ def sample_params(
     return {name: rng.normal(0.0, w, size=count) for name, w in widths.items()}
 
 
-def family_matrix(family: Family2x2, **params: float) -> np.ndarray:
-    """Build the structured 2x2 matrix of a family from its real parameters."""
+def family_matrix(family: Family2x2, **params) -> np.ndarray:
+    """Build the structured 2x2 matrix of a family from its real parameters.
+
+    Array parameters of one shape give a stack of shape (..., 2, 2).
+    """
     tag = family.tag
-    a = params["a"]
+    a = np.asarray(params["a"], dtype=float)
     if tag is FamilyTag.F1_ANTIDIAG_IMAG:
         b, c = params["b"], params["c"]
-        return np.array([[a, -1j * b], [1j * c, a]], dtype=complex)
-    if tag is FamilyTag.F2_DIAG_PARITY:
+        entries = (a, -1j * b, 1j * c, a)
+    elif tag is FamilyTag.F2_DIAG_PARITY:
         b, c = params["b"], params["c"]
-        return np.array([[a + c, 1j * b], [1j * b, a - c]], dtype=complex)
-    if tag is FamilyTag.F3_EPSILON_SCALED:
+        entries = (a + c, 1j * b, 1j * b, a - c)
+    elif tag is FamilyTag.F3_EPSILON_SCALED:
         b, c = params["b"], params["c"]
         e = family.epsilon
-        return np.array([[a, -1j * e * c], [1j * c / e, b]], dtype=complex)
-    if tag is FamilyTag.F4_COMPLEX_DIAG:
+        # 1j / e * c, not 1j * c / e: numpy rounds complex division by a
+        # float differently for scalars and arrays, and a stack must equal
+        # its per-matrix calls
+        entries = (a, -1j * e * c, 1j / e * c, b)
+    elif tag is FamilyTag.F4_COMPLEX_DIAG:
         b, c, d = params["b"], params["c"], params["d"]
-        return np.array([[a + 1j * b, c], [d, a - 1j * b]], dtype=complex)
-    if tag is FamilyTag.F5_INDEFINITE:
+        entries = (a + 1j * b, c, d, a - 1j * b)
+    elif tag is FamilyTag.F5_INDEFINITE:
         b, c, d = params["b"], params["c"], params["d"]
-        return np.array([[a + b, d + 1j * c], [-d + 1j * c, a - b]], dtype=complex)
-    raise ValueError(f"unknown family tag {tag}")
+        entries = (a + b, d + 1j * c, -d + 1j * c, a - b)
+    else:
+        raise ValueError(f"unknown family tag {tag}")
+    flat = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
+    return flat.reshape(flat.shape[:-1] + (2, 2))
 
 
 def sample_family(family: Family2x2, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One random matrix of the family under the Gaussian matrix weight."""
-    draws = sample_params(family, sigma, 1, rng)
-    return family_matrix(family, **{k: float(v[0]) for k, v in draws.items()})
+    return family_matrix(family, **sample_params(family, sigma, 1, rng))[0]
 
 
-def eigenvalues2(m: np.ndarray) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 matrix via the trace/determinant closed form.
+def eigenvalues2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a 2x2 matrix, or of a (..., 2, 2) stack, via the
+    trace/determinant closed form.
 
-    Returns (E+, E-) with E+ carrying the principal branch of the square
-    root; a vanishing discriminant yields a repeated eigenvalue.
+    Returns (E+, E-), each of the stack's shape, with E+ carrying the
+    principal branch of the square root; a vanishing discriminant yields a
+    repeated eigenvalue.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("eigenvalues2 expects a 2x2 matrix")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = cmath.sqrt(tr * tr - 4.0 * det)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError("eigenvalues2 expects a 2x2 matrix or a stack of them")
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    disc = np.sqrt(tr * tr - 4.0 * det)
     return (0.5 * (tr + disc), 0.5 * (tr - disc))
 
 

@@ -1,13 +1,13 @@
 """Self-contained special functions and the discrete Fourier transform.
 
-Everything here is implemented in-repo (series, continued fractions, and a
-mixed-radix fast transform) so the numerical core carries no dependency
-beyond numpy arrays.  Scalar routines return Python floats; ``erf`` also
-takes arrays, and ``dft`` works on complex vectors.
+The special functions are implemented in-repo (series and continued
+fractions) so the numerical core carries no dependency beyond numpy.  Scalar
+routines return Python floats; ``erf`` also takes arrays.  ``fourier`` is
+numpy's FFT in the convention below, along any axis of an array.
 
 Conventions
 -----------
-``dft`` uses the positive-exponent, unnormalized sum
+``fourier`` uses the positive-exponent, unnormalized sum
 
     out[l] = sum_p v[p] * exp(+2*pi*i*p*l/n),   l = 0..n-1,
 
@@ -27,28 +27,12 @@ __all__ = [
     "bessel_k0",
     "bessel_i0",
     "erf",
-    "gamma_fn",
     "lower_incomplete_gamma",
     "hyp2f1_series",
-    "dft",
+    "fourier",
 ]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
-
-# Lanczos approximation, g = 7, 9 coefficients (relative error ~1e-14 on the
-# positive real axis).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _MAX_TERMS = 10_000
 
@@ -183,21 +167,6 @@ def _erf_cf(x: float) -> float:
     return 1.0 - erfc
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive real axis (Lanczos approximation)."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
 def lower_incomplete_gamma(a: float, z: float) -> float:
     """Lower incomplete gamma function gamma(a, z) = int_0^z t^(a-1) e^-t dt.
 
@@ -251,60 +220,14 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
 # Discrete Fourier transform
 # ---------------------------------------------------------------------------
 
-_DIRECT_LIMIT = 64
+def fourier(x, axis: int = -1) -> np.ndarray:
+    """Unnormalized positive-exponent transform along one axis.
 
-
-def _dft_matrix(n: int) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp((2j * np.pi / n) * np.outer(k, k))
-
-
-def _dft_direct(v: np.ndarray) -> np.ndarray:
-    return _dft_matrix(v.size) @ v
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
-def _dft_fast(v: np.ndarray) -> np.ndarray:
-    # Cooley-Tukey over the smallest prime factor; prime lengths fall back to
-    # the direct sum.
-    n = v.size
-    if n <= _DIRECT_LIMIT:
-        return _dft_direct(v)
-    p = _smallest_prime_factor(n)
-    if p == n:
-        return _dft_direct(v)
-    m = n // p
-    sub = [_dft_fast(v[r::p]) for r in range(p)]
-    l = np.arange(n)
-    lm = l % m
-    out = np.zeros(n, dtype=complex)
-    for r in range(p):
-        out += np.exp((2j * np.pi / n) * (l * r)) * sub[r][lm]
-    return out
-
-
-def dft(v) -> np.ndarray:
-    """Unnormalized positive-exponent transform of a length-n vector.
-
-    out[l] = sum_p v[p] exp(+2*pi*i*p*l/n).  Direct O(n^2) sum for n <= 64,
-    mixed-radix fast transform above; the two paths agree to 1e-10 and are
-    tested against each other.
+    out[..., l, ...] = sum_p x[..., p, ...] exp(+2*pi*i*p*l/n), with n the
+    length of ``axis``; that is n times numpy's inverse FFT.
     """
-    arr = np.ascontiguousarray(v, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"dft expects a 1-d vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("dft of an empty vector is undefined")
-    if arr.size <= _DIRECT_LIMIT:
-        return _dft_direct(arr)
-    return _dft_fast(arr)
+    x = np.asarray(x)
+    n = x.shape[axis]
+    if n == 0:
+        raise ValueError("Fourier transform of an empty axis is undefined")
+    return n * np.fft.ifft(x, axis=axis)

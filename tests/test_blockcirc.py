@@ -163,7 +163,9 @@ class TestConjugatePairing:
         row = rng.normal(size=7)
         spec = circulant.eigenvalues(circulant.Circulant(row))
         structural = circulant.classify_spacings(spec)
-        numeric = blockcirc.classify_spacings_numeric(spec.eigs)
+        numeric = circulant.classify_spacings(
+            circulant.Spectrum(spec.eigs, blockcirc.pair_conjugates(spec.eigs))
+        )
         for s, n in zip(structural, numeric):
             assert np.allclose(np.sort(s.values), np.sort(n.values), rtol=1e-10)
 

@@ -148,6 +148,9 @@ class TestBadArguments:
             (["rmt-decay", "--t-max", "0"], "--t-max"),
             (["walk", "--sites", "5", "--w", "0.5", "--p", "0.5", "--t-max", "-1"], "--t-max"),
             (["walk", "--sites", "1", "--w", "0.5", "--p", "0.5"], "--sites"),
+            (["spacing2x2", "--family", "f3", "--count", "10", "--epsilon", "0"], "--epsilon"),
+            (["spacing2x2", "--family", "f3", "--count", "10", "--epsilon", "nan"], "--epsilon"),
+            (["spacing-cyclic", "--n", "2", "--count", "10"], "--n"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):
@@ -182,6 +185,36 @@ class TestBadArguments:
         assert exc.value.code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"argument {flag}:" in err
+        assert not out.exists()
+
+
+class TestNothingWrittenOnError:
+    def test_failed_write_rolls_back(self, tmp_path, monkeypatch):
+        write_text = cli.OutputDir.write_text
+        names = []
+
+        def fail_on_second(self, name, text):
+            names.append(name)
+            if len(names) == 2:
+                raise OSError("no space left on device")
+            return write_text(self, name, text)
+
+        monkeypatch.setattr(cli.OutputDir, "write_text", fail_on_second)
+        out = tmp_path / "run"
+        code = run("spacing-cyclic", "--n", "5", "--count", "50", "--seed", "1", "--out", str(out))
+        assert code == cli.EXIT_IO
+        assert names == ["spacing_cc.csv", "gof_cc.json"]
+        assert list(out.iterdir()) == []
+
+    def test_usage_error_creates_no_directory(self, tmp_path):
+        # scalar N = 4 has one conjugate pair, so no generic pairs: found
+        # after sampling, but before anything is written
+        out = tmp_path / "never"
+        code = run(
+            "spacing-cyclic", "--n", "4", "--count", "10", "--class", "generic",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
         assert not out.exists()
 
 

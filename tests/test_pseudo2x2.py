@@ -117,6 +117,28 @@ class TestEigenvalues2:
             assert oracles.multiset_distance(hermitian, scaled) < 1e-12
 
 
+class TestBatched:
+    """Stacks of parameters give stacks of matrices and eigenvalues equal,
+    byte for byte, to the per-matrix calls."""
+
+    @pytest.mark.parametrize("tag", list(FamilyTag), ids=lambda tag: tag.value)
+    def test_stack_equals_per_matrix_calls(self, tag):
+        fam = Family2x2(tag, epsilon=0.37)  # epsilon enters f3 only
+        draws = p2.sample_params(fam, 1.3, 500, np.random.default_rng(9))
+        stack = p2.family_matrix(fam, **draws)
+        ep, em = p2.eigenvalues2(stack)
+        assert stack.shape == (500, 2, 2) and ep.shape == em.shape == (500,)
+        for i in range(500):
+            m = p2.family_matrix(fam, **{k: v[i] for k, v in draws.items()})
+            assert m.tobytes() == stack[i].tobytes()
+            single = np.array(p2.eigenvalues2(m))
+            assert single.tobytes() == np.array([ep[i], em[i]]).tobytes()
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            p2.eigenvalues2(np.zeros((4, 3, 2)))
+
+
 class TestSampling:
     def test_f1_zero_params_is_zero_matrix(self):
         m = p2.family_matrix(Family2x2(FamilyTag.F1_ANTIDIAG_IMAG), a=0.0, b=0.0, c=0.0)

@@ -135,22 +135,6 @@ class TestErfArray:
         assert grid.ravel().tobytes() == specfun.erf(self.X).tobytes()
 
 
-class TestGamma:
-    def test_integers_and_half(self):
-        assert specfun.gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
-        assert specfun.gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
-        assert specfun.gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_against_stdlib_grid(self):
-        for x in np.linspace(0.05, 60.0, 120):
-            mine = math.log(specfun.gamma_fn(float(x)))
-            assert mine == pytest.approx(math.lgamma(float(x)), abs=1e-12 * (1 + abs(mine)))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            specfun.gamma_fn(0.0)
-
-
 class TestLowerIncompleteGamma:
     def test_a_one_closed_form(self):
         for z in np.linspace(0.0, 10.0, 41):
@@ -174,7 +158,7 @@ class TestLowerIncompleteGamma:
     def test_sum_rule_with_quadrature_remainder(self):
         # gamma(a, z) + upper remainder = Gamma(a)
         for a in (0.5, 1.0, 1.5, 2.5):
-            total = specfun.gamma_fn(a)
+            total = math.gamma(a)
             for z in np.linspace(0.0, 10.0, 11):
                 lower = specfun.lower_incomplete_gamma(a, float(z))
                 upper = oracles.quad_upper_gamma(a, float(z))
@@ -219,23 +203,51 @@ class TestHyp2f1:
 
 
 class TestDft:
+    """``fourier``: the unnormalized positive-exponent transform."""
+
     def test_delta_to_constant(self):
         v = np.zeros(8)
         v[0] = 1.0
-        assert np.allclose(specfun.dft(v), np.ones(8), atol=1e-14)
+        assert np.allclose(specfun.fourier(v), np.ones(8), atol=1e-14)
 
     def test_constant_to_delta(self):
         n = 7
-        out = specfun.dft(np.full(n, 3.5))
+        out = specfun.fourier(np.full(n, 3.5))
         assert out[0] == pytest.approx(n * 3.5)
         assert np.max(np.abs(out[1:])) < 1e-12
 
     def test_1_2_3_per_term_oracle(self):
-        out = specfun.dft([1.0, 2.0, 3.0])
+        out = specfun.fourier([1.0, 2.0, 3.0])
         ref = oracles.dft_per_term([1.0, 2.0, 3.0])
         assert np.max(np.abs(out - ref)) < 1e-13
         assert out[0] == pytest.approx(6.0)
         assert out[1] == pytest.approx(-1.5 - 1j * math.sqrt(3) / 2)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 22, 64, 97, 100, 128])
+    def test_per_term_oracle(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ref = oracles.dft_per_term(v)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(specfun.fourier(v) - ref)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 22, 64, 97, 100, 128])
+    def test_batched_along_an_axis(self, n):
+        # rows along axis -1, and 2x2 blocks along axis -3 as blockcirc uses it
+        rng = np.random.default_rng(1000 + n)
+        rows = rng.normal(size=(3, n))
+        blocks = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
+        got_rows = specfun.fourier(rows)
+        got_blocks = specfun.fourier(blocks, axis=-3)
+        for r in range(3):
+            ref = oracles.dft_per_term(rows[r])
+            assert np.max(np.abs(got_rows[r] - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+        for c in range(2):
+            for i in range(2):
+                for j in range(2):
+                    ref = oracles.dft_per_term(blocks[c, :, i, j])
+                    err = np.max(np.abs(got_blocks[c, :, i, j] - ref))
+                    assert err < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -244,7 +256,7 @@ class TestDft:
         )
     )
     def test_real_input_conjugate_symmetry(self, vals):
-        out = specfun.dft(np.array(vals))
+        out = specfun.fourier(np.array(vals))
         n = len(vals)
         scale = max(1.0, float(np.max(np.abs(out))))
         for l in range(1, n):
@@ -258,26 +270,20 @@ class TestDft:
     )
     def test_parseval(self, vals):
         v = np.array(vals)
-        out = specfun.dft(v)
+        out = specfun.fourier(v)
         lhs = float(np.sum(np.abs(out) ** 2))
         rhs = v.size * float(np.sum(v * v))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-9)
 
-    def test_direct_and_fast_paths_agree(self):
-        rng = np.random.default_rng(2024)
-        for n in (65, 96, 100, 127, 128, 210, 256):
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            fast = specfun._dft_fast(v)
-            direct = specfun._dft_direct(v)
-            scale = float(np.max(np.abs(direct)))
-            assert np.max(np.abs(fast - direct)) < 1e-10 * scale
-
     def test_against_numpy_fft(self):
+        # the positive-exponent sum is the forward FFT read at -l mod n
         rng = np.random.default_rng(7)
         for n in (3, 22, 64, 100, 129):
             v = rng.normal(size=n)
-            assert np.allclose(specfun.dft(v), n * np.fft.ifft(v), atol=1e-9)
+            assert np.allclose(specfun.fourier(v), np.fft.fft(v)[-np.arange(n) % n], atol=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            specfun.dft(np.array([]))
+            specfun.fourier(np.array([]))
+        with pytest.raises(ValueError):
+            specfun.fourier(np.zeros((2, 0, 2, 2)), axis=-3)

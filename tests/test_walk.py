@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,35 @@ class TestEvolution:
         for out in walk.evolve_spectral(cfg, WalkState.delta(n_sites, 0), range(60)):
             assert out.probs.min() >= 0.0
             assert abs(out.probs.sum() - 1.0) <= n_sites * 1e-14
+
+    @pytest.mark.parametrize("n_sites", [128, 256, 512])
+    def test_evolved_states_rebuild(self, n_sites):
+        # a stored state passes its own constructor's checks again
+        cfg = WalkConfig(n_sites=n_sites, w=0.8, p=0.3)
+        for out in walk.evolve_spectral(cfg, WalkState.delta(n_sites, 0), range(200)):
+            assert np.array_equal(WalkState(out.t, out.probs).probs, out.probs)
+
+    def test_sum_checked_after_clipping(self):
+        # round-off below zero within the floor, but clipping it to 0 leaves
+        # a sum of 1 + 4.5e-12
+        probs = np.full(1000, -9e-15)
+        probs[500:] = (1.0 + 500 * 9e-15) / 500
+        assert abs(probs.sum() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="sum to 1"):
+            WalkState(0, probs)
+
+    def test_evolution_memory_is_linear_in_sites(self):
+        # the transforms work on length-N vectors; dense N x N Fourier
+        # matrices would take 2 x 64 MiB at 2048 sites
+        cfg = WalkConfig(n_sites=2048, w=0.8, p=0.3)
+        p0 = WalkState.delta(2048, 0)
+        tracemalloc.start()
+        try:
+            walk.evolve_spectral(cfg, p0, range(1, 11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_long_rotation_within_scaled_roundoff(self):
         # unit-modulus modes carry phase round-off that grows with t
