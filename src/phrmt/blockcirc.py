@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SpacingSample, Spectrum, generalized_parity
+from .circulant import SpacingSample, Spectrum, _as_samples, _classify_arrays, generalized_parity
 from .pseudo2x2 import eigenvalues2
 from .specfun import fourier
 
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# Relative tolerance of conjugate pairing: an eigenvalue is real, and two
+# eigenvalues are conjugates, within _RTOL * max(1, max |eigenvalue|).
+_RTOL = 1e-9
 
 # Matrix entries (rows x spectrum length squared) per vectorised step of
 # block-batch pairing and classification; bounds the step's scratch memory
@@ -169,10 +173,10 @@ def sample_ising_blocks(
     return blocks
 
 
-def pair_conjugates(eigs: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def pair_conjugates(eigs: np.ndarray) -> np.ndarray:
     """Detect the conjugation pairing of a spectrum numerically.
 
-    An eigenvalue with |Im| below rtol * scale is marked real (self-paired);
+    An eigenvalue with |Im| below _RTOL * scale is marked real (self-paired);
     the rest are greedily matched to their nearest conjugate within the same
     tolerance, starting from the smallest imaginary parts.  A complex
     eigenvalue without a partner raises: every ensemble handled here has
@@ -181,7 +185,7 @@ def pair_conjugates(eigs: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     eigs = np.ascontiguousarray(eigs, dtype=complex)
     n = eigs.size
     scale = max(1.0, float(np.max(np.abs(eigs))) if n else 1.0)
-    tol = rtol * scale
+    tol = _RTOL * scale
     partner = -np.ones(n, dtype=int)
     order = np.argsort(np.abs(eigs.imag), kind="stable")
     for i in order:
@@ -205,7 +209,7 @@ def pair_conjugates(eigs: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return partner
 
 
-def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
+def _pair_batch(spectra: np.ndarray) -> np.ndarray:
     """Partner arrays of a (count, n) batch, equal row by row to
     ``pair_conjugates``.
 
@@ -222,7 +226,7 @@ def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
     for start in range(0, count, step):
         rows = spectra[start : start + step]
         scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
-        tol = rtol * scale
+        tol = _RTOL * scale
         real = np.abs(rows.imag) <= tol[:, None]
         # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
         # non-finite entries fall back, so inf - inf here is never used
@@ -242,24 +246,20 @@ def _pair_batch(spectra: np.ndarray, rtol: float) -> np.ndarray:
         good = ok.all(axis=1) & np.isfinite(rows).all(axis=1)
         partner[start : start + len(rows)] = np.where(real, idx, near)
         for r in np.flatnonzero(~good):
-            partner[start + r] = pair_conjugates(rows[r], rtol)
+            partner[start + r] = pair_conjugates(rows[r])
     return partner
 
 
-def classify_block_batch(
-    spectra: np.ndarray, rtol: float = 1e-9
-) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
+def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Pooled spacing classes over a (count, 2N) batch of block spectra.
 
     Pairing is re-detected per realization (see ``_pair_batch``); rows that
     share a pairing are classified together and the per-class values are
     kept in realization order.
     """
-    from .circulant import _classify_arrays
-
     spectra = np.ascontiguousarray(spectra, dtype=complex)
     step = _chunk_rows(spectra.shape[1])
-    partner = _pair_batch(spectra, rtol)
+    partner = _pair_batch(spectra)
     patterns, first, group = np.unique(
         partner, axis=0, return_index=True, return_inverse=True
     )
@@ -285,8 +285,4 @@ def classify_block_batch(
                 k = sizes[g, c]
                 dst = offsets[chunk, c][:, None] + np.arange(k)
                 out[c][dst] = values.reshape(chunk.size, k)
-    return (
-        SpacingSample("cc", out[0]),
-        SpacingSample("rc", out[1]),
-        SpacingSample("generic", out[2]),
-    )
+    return _as_samples(*out)

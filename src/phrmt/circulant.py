@@ -38,12 +38,9 @@ __all__ = [
     "pseudo_orthogonality_residual",
     "eigenvalues",
     "batch_spectra",
-    "trace_norm",
-    "sample_ensemble",
     "sample_rows",
     "classify_spacings",
     "classify_spacings_batch",
-    "jpdf_log",
     "pdf_cc",
     "pdf_rc",
     "pdf_generic",
@@ -81,11 +78,10 @@ class Circulant:
 
 @dataclass(frozen=True)
 class SpacingSample:
-    """Scalar spacings of one class, optionally rescaled to unit mean."""
+    """Scalar spacings of one class."""
 
     klass: str  # "cc" | "rc" | "generic"
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=float)
@@ -120,15 +116,6 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.eigs.size
-
-    def real_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.partner == np.arange(self.n))
-
-    def pair_indices(self) -> list[tuple[int, int]]:
-        """Each conjugate pair once, as (i, partner_of_i) with i < partner."""
-        idx = np.arange(self.n)
-        sel = idx < self.partner
-        return list(zip(idx[sel].tolist(), self.partner[sel].tolist()))
 
 
 def _circulant_partner(n: int) -> np.ndarray:
@@ -176,11 +163,6 @@ def batch_spectra(rows: np.ndarray) -> np.ndarray:
     return fourier(rows)
 
 
-def trace_norm(c: Circulant) -> float:
-    """tr(M^T M) = n * sum_p a_p^2; equals sum_l |E_l|^2 by Parseval."""
-    return c.n * float(np.dot(c.first_row, c.first_row))
-
-
 def entry_sigma(n: int, weight: float) -> float:
     """Per-entry standard deviation under the ensemble weight exp(-A tr M^T M).
 
@@ -201,12 +183,6 @@ def sample_rows(n: int, weight: float, count: int, rng: np.random.Generator) -> 
     return rng.normal(0.0, entry_sigma(n, weight), size=(count, n))
 
 
-def sample_ensemble(n: int, weight: float, count: int, rng: np.random.Generator):
-    """Yield ``count`` circulants drawn from the Gaussian ensemble."""
-    for row in sample_rows(n, weight, count, rng):
-        yield Circulant(row)
-
-
 def classify_spacings(spec: Spectrum) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Split all qualifying eigenvalue pairs of one spectrum into cc/rc/generic.
 
@@ -214,27 +190,19 @@ def classify_spacings(spec: Spectrum) -> tuple[SpacingSample, SpacingSample, Spa
     (real, complex) pairs to ``rc``, non-conjugate complex pairs to
     ``generic``.  Real-real pairs belong to no class and are dropped.
     """
-    cc, rc, gen = _classify_arrays(spec.eigs[None, :], spec.partner)
-    return (
-        SpacingSample("cc", cc),
-        SpacingSample("rc", rc),
-        SpacingSample("generic", gen),
-    )
+    return _as_samples(*_classify_arrays(spec.eigs[None, :], spec.partner))
 
 
 def classify_spacings_batch(
-    spectra: np.ndarray, partner: np.ndarray | None = None
+    spectra: np.ndarray,
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Pooled spacing classes over a (count, n) batch sharing one pairing."""
+    """Pooled spacing classes over a (count, n) batch of circulant spectra."""
     spectra = np.ascontiguousarray(spectra, dtype=complex)
-    if partner is None:
-        partner = _circulant_partner(spectra.shape[1])
-    cc, rc, gen = _classify_arrays(spectra, partner)
-    return (
-        SpacingSample("cc", cc),
-        SpacingSample("rc", rc),
-        SpacingSample("generic", gen),
-    )
+    return _as_samples(*_classify_arrays(spectra, _circulant_partner(spectra.shape[1])))
+
+
+def _as_samples(cc, rc, gen) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
+    return SpacingSample("cc", cc), SpacingSample("rc", rc), SpacingSample("generic", gen)
 
 
 def _classify_arrays(spectra: np.ndarray, partner: np.ndarray):
@@ -255,29 +223,6 @@ def _classify_arrays(spectra: np.ndarray, partner: np.ndarray):
         spectra[:, comp_idx[iu[not_conj]]] - spectra[:, comp_idx[ju[not_conj]]]
     ).ravel()
     return cc, rc, gen
-
-
-def jpdf_log(spec: Spectrum, weight: float, atol: float = 1e-9) -> float:
-    """Log of the unnormalized eigenvalue density of the Gaussian ensemble.
-
-    The exponent is -A (sum over self-paired E_i^2 + sum over conjugate pairs
-    2 E_i E_partner).  For a spectrum from a real circulant every product
-    E_i E_partner is |E_i|^2, so the exponent is real; a spectrum violating
-    the pairing makes it complex and is rejected.
-    """
-    if weight <= 0:
-        raise ValueError("ensemble weight A must be positive")
-    eigs = spec.eigs
-    scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-    acc = 0.0 + 0.0j
-    for i, j in enumerate(spec.partner):
-        if i == int(j):
-            acc += eigs[i] * eigs[i]
-        else:
-            acc += eigs[i] * eigs[int(j)]
-    if abs(acc.imag) > atol * scale * scale:
-        raise ValueError("spectrum is inconsistent with the conjugation pairing")
-    return -weight * acc.real
 
 
 # ---------------------------------------------------------------------------

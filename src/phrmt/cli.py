@@ -54,19 +54,33 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+def _check_writable(path: Path) -> None:
+    """Raise IOError unless the nearest existing ancestor of ``path`` is a
+    writable directory; creates nothing, so it can run before computing."""
+    ancestor = next(p for p in (path, *path.absolute().parents) if p.exists())
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise IOError(
+            f"output directory {path} is not writable: {ancestor} is not a writable directory"
+        )
+
+
 class OutputDir:
     """Collects output files; everything is written via a temp file and
-    renamed, and any partial results are removed if the run fails."""
+    renamed, and if the run fails its files, and the directories it created,
+    are removed."""
 
     def __init__(self, path: Path):
         self.path = path
         self.written: list[Path] = []
+        # deepest first, so rollback can remove them in this order
+        self.created = [p for p in (path, *path.absolute().parents) if not p.exists()]
         try:
             self.path.mkdir(parents=True, exist_ok=True)
             probe = self.path / ".write_probe"
             probe.write_text("")
             probe.unlink()
         except OSError as exc:
+            self.rollback()
             raise IOError(f"output directory {path} is not writable: {exc}") from exc
 
     def write_text(self, name: str, text: str) -> Path:
@@ -84,6 +98,13 @@ class OutputDir:
     def rollback(self):
         for f in self.written:
             f.unlink(missing_ok=True)
+        for d in self.created:
+            try:
+                d.rmdir()
+            except FileNotFoundError:  # the failed mkdir never made it
+                continue
+            except OSError:  # not empty, so neither are its parents
+                break
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
@@ -167,6 +188,8 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         args.seed,
         args.threads,
     )
+    if spac.size == 0:
+        raise UsageError("no f1 draws with real eigenvalues (bc > 0); raise --count")
     csv = _histogram_csv(
         spac,
         args.bins,
@@ -529,11 +552,13 @@ def _dispatch(args) -> list[stats.GofReport]:
 
     A command returns the name and text of each output file, in write order,
     and its goodness-of-fit reports; it writes nothing itself.  So nothing
-    is created before everything is computed, and if a write fails the files
-    already written are removed.
+    is created before everything is computed, an output path that cannot be
+    written fails before computing, and if a write fails the files and
+    directories the run made are removed.
     """
     if args.command == "replay":
         args = _replay_args(args)
+    _check_writable(Path(args.out))
     files, reports = args.func(args)
     out = OutputDir(Path(args.out))
     try:

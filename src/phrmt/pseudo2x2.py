@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ __all__ = [
     "FamilyTag",
     "Family2x2",
     "MetricPair",
-    "sample_family",
     "sample_params",
     "family_matrix",
     "eigenvalues2",
@@ -73,8 +73,8 @@ class Family2x2:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,6 @@ class MetricPair:
 
     eta: np.ndarray
     zeta: np.ndarray | None
-
-
-_PARAM_NAMES = {
-    FamilyTag.F1_ANTIDIAG_IMAG: ("a", "b", "c"),
-    FamilyTag.F2_DIAG_PARITY: ("a", "b", "c"),
-    FamilyTag.F3_EPSILON_SCALED: ("a", "b", "c"),
-    FamilyTag.F4_COMPLEX_DIAG: ("a", "b", "c", "d"),
-    FamilyTag.F5_INDEFINITE: ("a", "b", "c", "d"),
-}
 
 
 def param_sigmas(family: Family2x2, sigma: float) -> dict[str, float]:
@@ -163,11 +154,6 @@ def family_matrix(family: Family2x2, **params) -> np.ndarray:
         raise ValueError(f"unknown family tag {tag}")
     flat = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
     return flat.reshape(flat.shape[:-1] + (2, 2))
-
-
-def sample_family(family: Family2x2, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """One random matrix of the family under the Gaussian matrix weight."""
-    return family_matrix(family, **sample_params(family, sigma, 1, rng))[0]
 
 
 def eigenvalues2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,18 +270,17 @@ def spacing_pdf_f1(s: float, sigma: float) -> float:
     return s / (math.pi * sigma * sigma) * bessel_k0(s * s / (4.0 * sigma * sigma))
 
 
-_F1_CDF: GridCdf | None = None
+@functools.cache
+def _f1_grid() -> GridCdf:
+    return GridCdf(lambda u: spacing_pdf_f1(u, 1.0), hi=25.0, intervals=4096)
 
 
 def spacing_cdf_f1(s, sigma: float = 1.0):
-    """CDF of the F1 spacing law, cached by quadrature at sigma=1 and rescaled
-    through S -> S/sigma (the law is a pure scale family)."""
-    global _F1_CDF
+    """CDF of the F1 spacing law, built once by quadrature at sigma=1 and
+    rescaled through S -> S/sigma (the law is a pure scale family)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if _F1_CDF is None:
-        _F1_CDF = GridCdf(lambda u: spacing_pdf_f1(u, 1.0), hi=25.0, intervals=4096)
-    return _F1_CDF(np.asarray(s, dtype=float) / sigma)
+    return _f1_grid()(np.asarray(s, dtype=float) / sigma)
 
 
 @dataclass(frozen=True)
@@ -309,10 +294,6 @@ class F1Spacings:
 
     real: np.ndarray
     conjugate: np.ndarray
-
-    @property
-    def all_values(self) -> np.ndarray:
-        return np.concatenate([self.real, self.conjugate])
 
 
 def spacing_samples_f1(count: int, sigma: float, rng: np.random.Generator) -> F1Spacings:

@@ -10,22 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["generator", "spawn_generators", "chunk_sizes", "CHUNK"]
+__all__ = ["spawn_generators", "chunk_sizes", "CHUNK"]
 
 CHUNK = 8192
 
 
-def generator(seed: int) -> np.random.Generator:
-    """Root generator for a 64-bit seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
-def chunk_sizes(count: int, chunk: int = CHUNK) -> list[int]:
+def chunk_sizes(count: int) -> list[int]:
     """Fixed chunk layout for a workload of ``count`` items."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    full, rest = divmod(count, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+    full, rest = divmod(count, CHUNK)
+    return [CHUNK] * full + ([rest] if rest else [])
 
 
 def spawn_generators(seed: int, n: int) -> list[np.random.Generator]:

@@ -9,6 +9,7 @@ grid and evaluated by monotone (linear) interpolation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ __all__ = [
     "Histogram",
     "GofReport",
     "histogram",
-    "merge_histograms",
     "normalize_unit_mean",
     "ks_statistic",
     "ks_two_sample",
@@ -37,25 +37,13 @@ __all__ = [
 @dataclass(frozen=True)
 class Histogram:
     """Counts over half-open bins [e_i, e_{i+1}); out-of-range values are
-    dropped from the bins but kept in ``n_out`` so totals stay auditable."""
+    dropped from the bins but kept in ``n_out`` so totals stay auditable.
+    Built by ``histogram``, which checks the edges."""
 
     edges: np.ndarray
     counts: np.ndarray
     total: int
     n_out: int
-    density_mode: bool = False
-
-    def __post_init__(self):
-        edges = np.ascontiguousarray(self.edges, dtype=float)
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("need at least 2 edges")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
-        if counts.size != edges.size - 1:
-            raise ValueError("counts must have one entry per bin")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
 
     @property
     def widths(self) -> np.ndarray:
@@ -115,19 +103,6 @@ def histogram(sample, edges) -> Histogram:
     )
 
 
-def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
-    """Merge two histograms over identical edges; equals histogramming the
-    concatenated sample (associative and commutative)."""
-    if not np.array_equal(a.edges, b.edges):
-        raise ValueError("histograms must share identical edges")
-    return Histogram(
-        edges=a.edges,
-        counts=a.counts + b.counts,
-        total=a.total + b.total,
-        n_out=a.n_out + b.n_out,
-    )
-
-
 def normalize_unit_mean(sample: SpacingSample) -> SpacingSample:
     """Rescale a spacing sample so its mean is exactly 1."""
     vals = sample.values
@@ -136,7 +111,7 @@ def normalize_unit_mean(sample: SpacingSample) -> SpacingSample:
     mean = float(vals.mean())
     if mean <= 0.0:
         raise ValueError("cannot normalize a sample with nonpositive mean")
-    return SpacingSample(sample.klass, vals / mean, normalized=True)
+    return SpacingSample(sample.klass, vals / mean)
 
 
 def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> GofReport:
@@ -177,8 +152,9 @@ def ks_two_sample(x1, x2) -> float:
 # ---------------------------------------------------------------------------
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11, max_depth: int = 30) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
+def adaptive_simpson(f, a: float, b: float) -> float:
+    """Adaptive Simpson quadrature of a scalar function on [a, b], to an
+    absolute error target of 1e-11 within 30 levels of bisection."""
 
     def _simpson(lo, flo, hi, fhi, mid, fmid):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -200,19 +176,19 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11, max_depth: int =
     m = 0.5 * (a + b)
     fm = f(m)
     whole = _simpson(a, fa, b, fb, m, fm)
-    return _recurse(a, fa, b, fb, m, fm, whole, tol, max_depth)
+    return _recurse(a, fa, b, fb, m, fm, whole, 1e-11, 30)
 
 
 class GridCdf:
     """CDF built by per-interval adaptive quadrature of a density, evaluated
     by monotone linear interpolation; clamps to [0, F(hi)] outside the grid."""
 
-    def __init__(self, pdf, hi: float, intervals: int = 2048, tol: float = 1e-11):
+    def __init__(self, pdf, hi: float, intervals: int = 2048):
         grid = np.linspace(0.0, hi, intervals + 1)
         vals = np.empty_like(grid)
         vals[0] = 0.0
         for i in range(1, grid.size):
-            vals[i] = vals[i - 1] + adaptive_simpson(pdf, grid[i - 1], grid[i], tol=tol)
+            vals[i] = vals[i - 1] + adaptive_simpson(pdf, grid[i - 1], grid[i])
         self.grid = grid
         self.values = np.maximum.accumulate(vals)  # quadrature noise must not break monotonicity
 
@@ -225,15 +201,14 @@ def cdf_cc(z):
     return erf(np.asarray(z, dtype=float) / math.sqrt(math.pi))
 
 
-_RC_CDF: GridCdf | None = None
+@functools.cache
+def _rc_grid() -> GridCdf:
+    return GridCdf(circulant.pdf_rc, hi=12.0)
 
 
 def cdf_rc(z):
-    """CDF of the Bessel-I0 real-complex law (cached quadrature grid)."""
-    global _RC_CDF
-    if _RC_CDF is None:
-        _RC_CDF = GridCdf(circulant.pdf_rc, hi=12.0)
-    return _RC_CDF(z)
+    """CDF of the Bessel-I0 real-complex law (quadrature grid built once)."""
+    return _rc_grid()(z)
 
 
 def cdf_generic(s):

@@ -31,19 +31,16 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .circulant import Circulant
 from .specfun import erf, fourier, lower_incomplete_gamma
 
 __all__ = [
     "WalkConfig",
     "WalkState",
-    "transition_matrix",
     "evolve_spectral",
     "entropy",
     "spectral_gap_mixing_time",
     "rmt_decay_closed_form",
     "rmt_decay_asymptotic",
-    "excess_occupation",
     "sample_decay_moduli",
     "rmt_decay_monte_carlo",
 ]
@@ -134,24 +131,6 @@ class WalkState:
         probs[site] = 1.0
         return cls(t=0, probs=probs)
 
-    @classmethod
-    def uniform(cls, n_sites: int) -> "WalkState":
-        return cls(t=0, probs=np.full(n_sites, 1.0 / n_sites))
-
-
-def transition_matrix(cfg: WalkConfig) -> Circulant:
-    """Transition matrix of the configured walk, as a circulant.
-
-    Rows and columns each sum to 1 (circulants over a probability row are
-    doubly stochastic).
-    """
-    return Circulant(cfg.hop_row())
-
-
-def _modes(cfg: WalkConfig) -> np.ndarray:
-    """Eigenvalues of the transition matrix, in Fourier-mode order."""
-    return fourier(cfg.hop_row())
-
 
 def evolve_spectral(
     cfg: WalkConfig, p0: WalkState, t: int | Sequence[int]
@@ -177,7 +156,7 @@ def evolve_spectral(
     if p0.probs.size != cfg.n_sites:
         raise ValueError("state size does not match the configuration")
     n = cfg.n_sites
-    lam = _modes(cfg)
+    lam = fourier(cfg.hop_row())  # transition-matrix eigenvalues, in mode order
     # start coefficients in the Fourier basis exp(2 pi i k j / N), up to the
     # 1/N that the transform back applies
     coeff = np.conj(fourier(p0.probs))
@@ -204,7 +183,7 @@ def spectral_gap_mixing_time(cfg: WalkConfig, target: float = 1e-8) -> int:
     Uses the second-largest eigenvalue modulus; raises for periodic or
     decoupled rings (no spectral gap), where the walk never mixes.
     """
-    lam = _modes(cfg)
+    lam = fourier(cfg.hop_row())
     moduli = np.sort(np.abs(lam))
     second = moduli[-2]
     if second >= 1.0 - 1e-15:
@@ -242,29 +221,6 @@ def rmt_decay_asymptotic(t: int) -> float:
         raise ValueError("time must be nonnegative")
     pref = 0.25 * math.pi * math.exp(-math.pi / 4.0) * DECAY_NORM
     return pref * (2.0 / (t + 3.0) + math.pi / ((t + 3.0) * (t + 5.0)))
-
-
-def excess_occupation(lams: np.ndarray, p0: np.ndarray, j: int, t: int) -> complex:
-    """Occupation excess p_j(t) - 1/N from the non-stationary modes.
-
-    ``lams`` lists the N-1 eigenvalues lambda_2..lambda_N of a ring
-    transition matrix (the stationary lambda_1 = 1 excluded); p0 is the start
-    distribution.  At t = 0 this reproduces p0[j] - 1/N identically for any
-    spectrum, by completeness of the Fourier modes.
-    """
-    lams = np.ascontiguousarray(lams, dtype=complex)
-    p0 = np.ascontiguousarray(p0, dtype=float)
-    n = p0.size
-    if lams.size != n - 1:
-        raise ValueError("need exactly N-1 non-stationary eigenvalues")
-    l = np.arange(1, n)
-    acc = 0.0 + 0.0j
-    for site, weight in enumerate(p0):
-        if weight == 0.0:
-            continue
-        omega = np.exp((2j * np.pi / n) * (j - site))
-        acc += weight * np.sum(lams**t * omega**l)
-    return acc / n
 
 
 def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:

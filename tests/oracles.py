@@ -115,6 +115,42 @@ def dft_per_term(v) -> np.ndarray:
     return out
 
 
+def transition_matrix(hop_row) -> np.ndarray:
+    """Dense ring-walk transition matrix, entry by entry: row i is the hop
+    row shifted right by i sites, M[i, j] = hop_row[(j - i) mod N]."""
+    n = len(hop_row)
+    m = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = hop_row[(j - i) % n]
+    return m
+
+
+def excess_occupation(lams, p0, j: int, t: int) -> complex:
+    """Occupation excess p_j(t) - 1/N from the non-stationary modes.
+
+    ``lams`` lists the N-1 eigenvalues lambda_2..lambda_N of a ring
+    transition matrix in Fourier-mode order (the stationary lambda_1 = 1
+    excluded); p0 is the start distribution.  At t = 0 this reproduces
+    p0[j] - 1/N identically for any spectrum, by completeness of the Fourier
+    modes.  This is the full mode sum that the Monte Carlo decay estimator
+    collapses.
+    """
+    lams = np.ascontiguousarray(lams, dtype=complex)
+    p0 = np.ascontiguousarray(p0, dtype=float)
+    n = p0.size
+    if lams.size != n - 1:
+        raise ValueError("need exactly N-1 non-stationary eigenvalues")
+    l = np.arange(1, n)
+    acc = 0.0 + 0.0j
+    for site, weight in enumerate(p0):
+        if weight == 0.0:
+            continue
+        omega = np.exp((2j * np.pi / n) * (j - site))
+        acc += weight * np.sum(lams**t * omega**l)
+    return acc / n
+
+
 def complex_power_decay_estimate(r, theta, t: int) -> tuple[float, float]:
     """Monte Carlo decay estimate (mean, standard error) from given draws of
     eigenvalue moduli ``r`` and phases ``theta`` (one row per realization),

@@ -186,9 +186,9 @@ def _count_greedy_calls(monkeypatch):
     calls = []
     greedy = blockcirc.pair_conjugates
 
-    def counted(eigs, rtol=1e-9):
+    def counted(eigs):
         calls.append(1)
-        return greedy(eigs, rtol)
+        return greedy(eigs)
 
     monkeypatch.setattr(blockcirc, "pair_conjugates", counted)
     return calls
@@ -210,7 +210,7 @@ class TestBatchedPairing:
     def test_matches_greedy_row_by_row(self, sampler, n):
         # at N >= 24, 300 rows span several vectorised steps, the last partial
         spectra = blockcirc.batch_block_spectra(sampler(n, 300, np.random.default_rng(n)))
-        assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), _greedy_pairing(spectra))
+        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
         got = blockcirc.classify_block_batch(spectra)
         want = _greedy_classes(spectra)
         for sample, values in zip(got, want):
@@ -226,7 +226,7 @@ class TestBatchedPairing:
         assert blockcirc._chunk_rows(n) == 1
         tracemalloc.start()
         try:
-            partner = blockcirc._pair_batch(spectra, 1e-9)
+            partner = blockcirc._pair_batch(spectra)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,7 +240,7 @@ class TestBatchedPairing:
         # |Im| = 1e-12 is inside the 1e-9 tolerance: two reals, as in greedy
         calls = _count_greedy_calls(monkeypatch)
         spectra = np.array([[1.0 + 1e-12j, 1.0 - 1e-12j, 2.0 + 1.0j, 2.0 - 1.0j]])
-        assert blockcirc._pair_batch(spectra, 1e-9).tolist() == [[0, 1, 3, 2]]
+        assert blockcirc._pair_batch(spectra).tolist() == [[0, 1, 3, 2]]
         assert not calls
 
     def test_tied_row_falls_back_to_greedy(self, monkeypatch):
@@ -254,7 +254,7 @@ class TestBatchedPairing:
         want_pairs = _greedy_pairing(spectra)
         want = _greedy_classes(spectra)
         calls = _count_greedy_calls(monkeypatch)
-        assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), want_pairs)
+        assert np.array_equal(blockcirc._pair_batch(spectra), want_pairs)
         assert len(calls) == 1
         for sample, values in zip(blockcirc.classify_block_batch(spectra), want):
             assert sample.values.tobytes() == values.tobytes(), sample.name
@@ -263,7 +263,7 @@ class TestBatchedPairing:
         spectra = np.array([[np.inf, 1 + 1j, 1 - 1j], [np.nan, 1 + 1j, 1 - 1j]])
         want = _greedy_pairing(spectra)
         calls = _count_greedy_calls(monkeypatch)
-        assert np.array_equal(blockcirc._pair_batch(spectra, 1e-9), want)
+        assert np.array_equal(blockcirc._pair_batch(spectra), want)
         assert len(calls) == 2
 
     def test_row_not_closed_under_conjugation_raises(self):
@@ -292,7 +292,7 @@ class TestBatchedPairing:
         tied = [1 + 1j, 1 - 1j + delta, 1 - 1j - delta, 1 + 1j - delta]
         spectra = np.array([closed, tied])
         calls = _count_greedy_calls(monkeypatch)
-        assert blockcirc._pair_batch(spectra, 1e-9).tolist() == [[1, 0, 3, 2], [1, 0, 3, 2]]
+        assert blockcirc._pair_batch(spectra).tolist() == [[1, 0, 3, 2], [1, 0, 3, 2]]
         assert len(calls) == 1
 
 

@@ -204,7 +204,43 @@ class TestNothingWrittenOnError:
         code = run("spacing-cyclic", "--n", "5", "--count", "50", "--seed", "1", "--out", str(out))
         assert code == cli.EXIT_IO
         assert names == ["spacing_cc.csv", "gof_cc.json"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_rollback_removes_only_what_the_run_made(self, tmp_path, monkeypatch):
+        def fail(self, name, text):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.OutputDir, "write_text", fail)
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "keep.txt").write_text("kept")
+        code = run("spacing-cyclic", "--n", "5", "--count", "50", "--out", str(existing))
+        assert code == cli.EXIT_IO
+        assert [f.name for f in existing.iterdir()] == ["keep.txt"]
+        assert (existing / "keep.txt").read_text() == "kept"
+        # directories the run created are removed, deepest first, up to the
+        # one that existed before it
+        code = run(
+            "spacing-cyclic", "--n", "5", "--count", "50",
+            "--out", str(existing / "new" / "deeper"),
+        )
+        assert code == cli.EXIT_IO
+        assert [f.name for f in existing.iterdir()] == ["keep.txt"]
+
+    def test_unwritable_out_fails_before_computing(self, tmp_path, monkeypatch, capsys):
+        def never(args):
+            raise AssertionError("the command ran before the output check")
+
+        monkeypatch.setattr(cli, "cmd_rmt_decay", never)
+        blocker = tmp_path / "blocker.txt"
+        blocker.write_text("")
+        code = run(
+            "rmt-decay", "--t-max", "100", "--n", "32", "--realizations", "2000",
+            "--out", str(blocker / "sub"),
+        )
+        assert code == cli.EXIT_IO
+        assert "not writable" in capsys.readouterr().err
+        assert blocker.read_text() == ""
 
     def test_usage_error_creates_no_directory(self, tmp_path):
         # scalar N = 4 has one conjugate pair, so no generic pairs: found
@@ -238,6 +274,16 @@ class TestSpacing2x2:
         header = (out / "spacing2x2_f4.csv").read_text().splitlines()[0]
         assert header == "bin_center,empirical_density"
         assert not (out / "gof_spacing2x2_f4.json").exists()
+
+    @pytest.mark.parametrize("seed", ["0", "1", "3"])
+    def test_f1_without_real_draws_is_usage_error(self, tmp_path, capsys, seed):
+        # one draw with bc <= 0 leaves the K0 law's real sector empty
+        out = tmp_path / "never"
+        code = run("spacing2x2", "--family", "f1", "--count", "1", "--seed", seed, "--out", str(out))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bc > 0" in err
+        assert not out.exists()
 
     def test_unknown_family_usage_error(self, tmp_path):
         assert run(

@@ -59,7 +59,7 @@ class TestPseudoHermiticity:
         for fam in ALL_FAMILIES:
             eta = p2.metric_of(fam).eta
             for _ in range(100):
-                m = p2.sample_family(fam, 1.3, rng)
+                m = p2.family_matrix(fam, **p2.sample_params(fam, 1.3, 1, rng))[0]
                 assert p2.pseudo_hermiticity_residual(m, eta) <= 1e-14
 
     def test_hermitian_with_identity_metric(self):
@@ -146,7 +146,8 @@ class TestSampling:
 
     def test_f1_structure(self):
         rng = np.random.default_rng(42)
-        m = p2.sample_family(Family2x2(FamilyTag.F1_ANTIDIAG_IMAG), 1.0, rng)
+        fam = Family2x2(FamilyTag.F1_ANTIDIAG_IMAG)
+        m = p2.family_matrix(fam, **p2.sample_params(fam, 1.0, 1, rng))[0]
         assert m[0, 0] == m[1, 1]
         assert m[0, 0].imag == 0
         assert m[0, 1].real == 0 and m[1, 0].real == 0
@@ -194,6 +195,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=-1.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError):
+            Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=epsilon)
+
 
 class TestDiagonalizers:
     def test_f1_diagonalizer_diagonalizes(self):
@@ -223,7 +229,7 @@ class TestDiagonalizers:
         for fam in ALL_FAMILIES:
             d = p2.diagonalizer(fam, **kwargs[fam.tag])
             assert abs(np.linalg.det(d)) > 1e-9
-            m = p2.sample_family(fam, 1.0, rng)
+            m = p2.family_matrix(fam, **p2.sample_params(fam, 1.0, 1, rng))[0]
             conj = np.linalg.inv(d) @ m @ d
             before = p2.eigenvalues2(m)
             after = p2.eigenvalues2(conj)
@@ -283,7 +289,6 @@ class TestF1SpacingLaw:
         rng = np.random.default_rng(23)
         draws = p2.spacing_samples_f1(10_000, 2.0, rng)
         assert draws.real.size + draws.conjugate.size == 10_000
-        assert draws.all_values.size == 10_000
 
     def test_ks_against_law_quick(self):
         rng = np.random.default_rng(24)
