@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SpacingSample, Spectrum, _as_samples, _classify_arrays, generalized_parity
+from .circulant import SpacingSample, Spectrum, _chunk_rows, _classify_batch, generalized_parity
 from .pseudo2x2 import eigenvalues2
 from .specfun import fourier
 
@@ -49,16 +49,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # Relative tolerance of conjugate pairing: an eigenvalue is real, and two
 # eigenvalues are conjugates, within _RTOL * max(1, max |eigenvalue|).
 _RTOL = 1e-9
-
-# Matrix entries (rows x spectrum length squared) per vectorised step of
-# block-batch pairing and classification; bounds the step's scratch memory
-# (a few MB) whatever the number of blocks.
-_CHUNK_ELEMS = 1 << 18
-
-
-def _chunk_rows(n: int) -> int:
-    """Rows per vectorised step for spectra of length n."""
-    return max(1, _CHUNK_ELEMS // (n * n))
 
 
 @dataclass(frozen=True)
@@ -253,36 +243,8 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
 def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Pooled spacing classes over a (count, 2N) batch of block spectra.
 
-    Pairing is re-detected per realization (see ``_pair_batch``); rows that
-    share a pairing are classified together and the per-class values are
-    kept in realization order.
+    Pairing is re-detected per realization (see ``_pair_batch``); the
+    per-class values are kept in realization order.
     """
     spectra = np.ascontiguousarray(spectra, dtype=complex)
-    step = _chunk_rows(spectra.shape[1])
-    partner = _pair_batch(spectra)
-    patterns, first, group = np.unique(
-        partner, axis=0, return_index=True, return_inverse=True
-    )
-    group = group.ravel()
-    # values per class for one row of each pattern, read off the classifier
-    # itself on that pattern's first row
-    sizes = np.array(
-        [
-            [part.size for part in _classify_arrays(spectra[i : i + 1], pattern)]
-            for i, pattern in zip(first, patterns)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    per_row = sizes[group]  # (count, 3)
-    offsets = np.cumsum(per_row, axis=0) - per_row
-    out = [np.empty(int(total)) for total in per_row.sum(axis=0)]
-    for g, pattern in enumerate(patterns):
-        rows = np.flatnonzero(group == g)
-        for start in range(0, rows.size, step):
-            chunk = rows[start : start + step]
-            parts = _classify_arrays(spectra[chunk], pattern)
-            for c, values in enumerate(parts):
-                k = sizes[g, c]
-                dst = offsets[chunk, c][:, None] + np.arange(k)
-                out[c][dst] = values.reshape(chunk.size, k)
-    return _as_samples(*out)
+    return _classify_batch(spectra, _pair_batch(spectra))

@@ -189,8 +189,19 @@ def classify_spacings(spec: Spectrum) -> tuple[SpacingSample, SpacingSample, Spa
     Every unordered pair contributes at most once: conjugate pairs to ``cc``,
     (real, complex) pairs to ``rc``, non-conjugate complex pairs to
     ``generic``.  Real-real pairs belong to no class and are dropped.
+    Built from index lists, not masks: the reference of ``_classify_batch``.
     """
-    return _as_samples(*_classify_arrays(spec.eigs[None, :], spec.partner))
+    eigs, partner = spec.eigs, spec.partner
+    idx = np.arange(spec.n)
+    real_idx = np.flatnonzero(partner == idx)
+    lead = np.flatnonzero(idx < partner)  # one representative per pair
+    comp_idx = np.flatnonzero(partner != idx)  # every complex eigenvalue
+    cc = np.abs(eigs[lead] - eigs[partner[lead]])
+    rc = np.abs(eigs[real_idx][:, None] - eigs[comp_idx][None, :]).ravel()
+    iu, ju = np.triu_indices(comp_idx.size, k=1)
+    not_conj = partner[comp_idx[iu]] != comp_idx[ju]
+    gen = np.abs(eigs[comp_idx[iu[not_conj]]] - eigs[comp_idx[ju[not_conj]]])
+    return _as_samples(cc, rc, gen)
 
 
 def classify_spacings_batch(
@@ -198,31 +209,58 @@ def classify_spacings_batch(
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Pooled spacing classes over a (count, n) batch of circulant spectra."""
     spectra = np.ascontiguousarray(spectra, dtype=complex)
-    return _as_samples(*_classify_arrays(spectra, _circulant_partner(spectra.shape[1])))
+    return _classify_batch(spectra, _circulant_partner(spectra.shape[1]))
 
 
 def _as_samples(cc, rc, gen) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     return SpacingSample("cc", cc), SpacingSample("rc", rc), SpacingSample("generic", gen)
 
 
-def _classify_arrays(spectra: np.ndarray, partner: np.ndarray):
-    n = spectra.shape[1]
+# Matrix entries (rows x spectrum length squared) per vectorised step of batch
+# pairing and classification: a few MB of scratch whatever the spectrum length.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per vectorised step for spectra of length n."""
+    return max(1, _CHUNK_ELEMS // (n * n))
+
+
+def _classify_batch(
+    spectra: np.ndarray, partner: np.ndarray
+) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
+    """Spacing classes of a (count, n) batch with one pairing ``partner`` for
+    every row, shape (n,), or one per row, shape (count, n).
+
+    Each step selects from ``d[r, i, j] = e_i - e_j`` the entries with
+    ``i < j`` and ``partner[i] == j`` (cc), ``i`` real and ``j`` complex (rc),
+    and ``i < j``, both complex and not partners (generic), so values come by
+    row, then in (i, j) row-major order, as from ``classify_spacings``.
+    """
+    count, n = spectra.shape
+    partner = partner.reshape(-1, n)
     idx = np.arange(n)
-    real_idx = np.flatnonzero(partner == idx)
-    lead = np.flatnonzero(idx < partner)  # one representative per pair
-    comp_idx = np.flatnonzero(partner != idx)  # every complex eigenvalue
-
-    cc = np.abs(spectra[:, lead] - spectra[:, partner[lead]]).ravel()
-    rc = np.abs(
-        spectra[:, real_idx][:, :, None] - spectra[:, comp_idx][:, None, :]
-    ).ravel()
-
-    iu, ju = np.triu_indices(comp_idx.size, k=1)
-    not_conj = partner[comp_idx[iu]] != comp_idx[ju]
-    gen = np.abs(
-        spectra[:, comp_idx[iu[not_conj]]] - spectra[:, comp_idx[ju[not_conj]]]
-    ).ravel()
-    return cc, rc, gen
+    upper = idx[:, None] < idx
+    # class sizes of a row with c complex and n - c real eigenvalues
+    c = np.broadcast_to(np.count_nonzero(partner != idx, axis=1), (count,))
+    sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
+    out = [np.empty(int(size.sum())) for size in sizes]
+    filled = [0, 0, 0]
+    step = _chunk_rows(n)
+    for start in range(0, count, step):
+        rows = spectra[start : start + step]
+        part = partner if len(partner) == 1 else partner[start : start + step]
+        real = part == idx
+        pair = part[:, :, None] == idx
+        comp_i, comp_j = ~real[:, :, None], ~real[:, None, :]
+        masks = (upper & pair, real[:, :, None] & comp_j, upper & comp_i & comp_j & ~pair)
+        d = rows[:, :, None] - rows[:, None, :]
+        for k, mask in enumerate(masks):
+            # a pairing shared by the whole step selects along (i, j) only
+            values = d[:, mask[0]].ravel() if len(mask) == 1 else d[mask]
+            np.abs(values, out=out[k][filled[k] : filled[k] + values.size])
+            filled[k] += values.size
+    return _as_samples(*out)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,9 @@ _CLASS_CDFS = {
 
 def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     classes = ["cc", "rc", "generic"] if args.klass == "all" else [args.klass]
-    if args.blocks == "none" and args.n == 3 and args.klass == "generic":
-        raise UsageError("no generic pairs at N=3")
+    if args.blocks == "none" and args.n <= 4 and args.klass == "generic":
+        # at most two complex eigenvalues, which are one conjugate pair
+        raise UsageError("no generic pairs for a scalar circulant with N <= 4")
 
     if args.blocks == "none":
         def draw(sz, rng):
@@ -386,10 +387,17 @@ def _replay_args(args) -> argparse.Namespace:
     path = Path(args.manifest)
     if not path.exists():
         raise UsageError(f"manifest {path} does not exist")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"manifest {path} is not JSON: {exc}")
+    if not isinstance(manifest, dict):
+        raise UsageError(f"manifest {path} is not a JSON object")
     command = manifest.get("command")
     if command not in _COMMANDS:
         raise UsageError(f"manifest names unknown command {command!r}")
+    if not isinstance(manifest.get("params"), dict):
+        raise UsageError(f"manifest {path} has no 'params' object")
     params = dict(manifest["params"])
     params["out"] = args.out if args.out else str(path.parent)
     # re-parse the recorded options, so a replay meets the same argument
@@ -452,16 +460,19 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "number"
 
 
-def _add_common(sp, with_rng=True):
+def _add_common(sp):
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=_int_at_least(0), default=0, help="root seed (u64)")
-    if with_rng:
-        sp.add_argument(
-            "--threads",
-            type=_int_at_least(1),
-            default=os.cpu_count() or 1,
-            help="worker pool size",
-        )
+
+
+def _add_spacing_options(sp):
+    """Options of the commands that sample spacings and test them for fit."""
+    sp.add_argument(
+        "--threads",
+        type=_int_at_least(1),
+        default=os.cpu_count() or 1,
+        help="worker pool size",
+    )
     sp.add_argument("--bins", type=_int_at_least(1), default=50, help="histogram bins")
     sp.add_argument(
         "--assert",
@@ -487,6 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=_positive_float, default=1.0, help="f3 scaling parameter")
     sp.add_argument("--count", type=_int_at_least(1), required=True, help="number of draws")
     _add_common(sp)
+    _add_spacing_options(sp)
     sp.set_defaults(func=cmd_spacing2x2)
 
     sp = sub.add_parser("spacing-cyclic", help="circulant spacing-class run")
@@ -514,6 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--block-scale", type=_positive_float, default=1.0, help="block parameter width"
     )
     _add_common(sp)
+    _add_spacing_options(sp)
     sp.set_defaults(func=cmd_spacing_cyclic)
 
     sp = sub.add_parser("walk", help="ring-walk entropy relaxation")
@@ -524,8 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--row", help="comma-separated hop row (overrides sites/w/p)")
     sp.add_argument("--start", type=int, help="delta-start site (default 0)")
     sp.add_argument("--t-max", type=_int_at_least(0), default=400, help="final time step")
-    _add_common(sp, with_rng=False)
-    sp.set_defaults(func=cmd_walk, threads=1)
+    _add_common(sp)
+    sp.set_defaults(func=cmd_walk)
 
     sp = sub.add_parser("rmt-decay", help="ensemble decay-law curves")
     sp.add_argument("--t-max", type=_int_at_least(1), default=200, help="final time step")
@@ -536,8 +549,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="Monte Carlo realizations per time step (0 = closed form only)",
     )
-    _add_common(sp, with_rng=False)
-    sp.set_defaults(func=cmd_rmt_decay, threads=1)
+    _add_common(sp)
+    sp.set_defaults(func=cmd_rmt_decay)
 
     sp = sub.add_parser("replay", help="re-run a recorded manifest")
     sp.add_argument("--manifest", required=True, help="path to manifest.json")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from phrmt import blockcirc, stats
+from phrmt import blockcirc, circulant, stats
 from phrmt.blockcirc import BlockCirculant
 
 
@@ -157,8 +157,6 @@ class TestConjugatePairing:
     def test_classifier_matches_scalar_structural_path(self):
         # scalar circulant spectra run through the numeric classifier give
         # the same classes as the structural pairing
-        from phrmt import circulant
-
         rng = np.random.default_rng(58)
         row = rng.normal(size=7)
         spec = circulant.eigenvalues(circulant.Circulant(row))
@@ -176,10 +174,11 @@ def _greedy_pairing(spectra):
 
 def _greedy_classes(spectra):
     """Per-row greedy pairing and classification, concatenated in row order."""
-    from phrmt.circulant import _classify_arrays
-
-    parts = [_classify_arrays(row[None, :], blockcirc.pair_conjugates(row)) for row in spectra]
-    return [np.concatenate(vals) for vals in zip(*parts)]
+    parts = [
+        circulant.classify_spacings(circulant.Spectrum(row, blockcirc.pair_conjugates(row)))
+        for row in spectra
+    ]
+    return [np.concatenate([s.values for s in samples]) for samples in zip(*parts)]
 
 
 def _count_greedy_calls(monkeypatch):
@@ -214,7 +213,25 @@ class TestBatchedPairing:
         got = blockcirc.classify_block_batch(spectra)
         want = _greedy_classes(spectra)
         for sample, values in zip(got, want):
-            assert sample.values.tobytes() == values.tobytes(), sample.name
+            assert sample.values.tobytes() == values.tobytes(), sample.klass
+
+    def test_rows_with_different_pairings(self):
+        # one batch, one pairing per row: real eigenvalues at different
+        # positions, partners in different orders, and a row with no complex
+        # eigenvalue, which adds no value to any class
+        spectra = np.array(
+            [
+                [1 + 1j, 1 - 1j, 2.0, 3 + 2j, 5.0, 3 - 2j],
+                [4.0, 3.0, 2.0, 1.0, 0.5, -1.0],
+                [0.5, 2 - 1j, -4 + 3j, 2 + 1j, -4 - 3j, -1.0],
+                [2 + 0.3j, 2 - 0.3j, 1 + 1j, 1 - 1j, 6 - 0.5j, 6 + 0.5j],
+            ]
+        )
+        got = blockcirc.classify_block_batch(spectra)
+        # per row (cc, rc, generic): (2, 8, 4), none, (2, 8, 4), (3, 0, 12)
+        assert [s.values.size for s in got] == [7, 16, 20]
+        for sample, values in zip(got, _greedy_classes(spectra)):
+            assert sample.values.tobytes() == values.tobytes(), sample.klass
 
     def test_large_spectra_pair_one_row_per_step(self):
         # from N = 256 blocks a step holds one row, so the pairing scratch is
@@ -234,7 +251,7 @@ class TestBatchedPairing:
         assert np.array_equal(partner, _greedy_pairing(spectra))
         got = blockcirc.classify_block_batch(spectra)
         for sample, values in zip(got, _greedy_classes(spectra)):
-            assert sample.values.tobytes() == values.tobytes(), sample.name
+            assert sample.values.tobytes() == values.tobytes(), sample.klass
 
     def test_near_real_pair_counts_as_real(self, monkeypatch):
         # |Im| = 1e-12 is inside the 1e-9 tolerance: two reals, as in greedy
@@ -257,7 +274,7 @@ class TestBatchedPairing:
         assert np.array_equal(blockcirc._pair_batch(spectra), want_pairs)
         assert len(calls) == 1
         for sample, values in zip(blockcirc.classify_block_batch(spectra), want):
-            assert sample.values.tobytes() == values.tobytes(), sample.name
+            assert sample.values.tobytes() == values.tobytes(), sample.klass
 
     def test_non_finite_rows_fall_back_to_greedy(self, monkeypatch):
         spectra = np.array([[np.inf, 1 + 1j, 1 - 1j], [np.nan, 1 + 1j, 1 - 1j]])

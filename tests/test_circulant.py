@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,15 +184,36 @@ class TestClassifySpacings:
         rho = np.corrcoef(cc.values, sign_part)[0, 1]
         assert abs(rho) < 0.01
 
-    def test_batch_concatenates_realizations(self):
+    def test_batch_concatenates_realizations(self, monkeypatch):
+        # the batch path equals the per-spectrum path, bit for bit, row after
+        # row; steps are shrunk so a few thousand rows span two full steps
+        # and a partial one (two rows a step at n = 100)
+        monkeypatch.setattr(circulant, "_CHUNK_ELEMS", 20_000)
         rng = np.random.default_rng(41)
-        rows = rng.normal(size=(3, 5))
-        batch_cc, _, _ = circulant.classify_spacings_batch(circulant.batch_spectra(rows))
-        singles = [
-            circulant.classify_spacings(circulant.eigenvalues(Circulant(r)))[0].values
-            for r in rows
-        ]
-        assert np.allclose(batch_cc.values, np.concatenate(singles), rtol=1e-12)
+        for n in (3, 4, 5, 8, 100):
+            count = 2 * circulant._chunk_rows(n) + 1
+            rows = rng.normal(size=(count, n))
+            batch = circulant.classify_spacings_batch(circulant.batch_spectra(rows))
+            singles = [
+                circulant.classify_spacings(circulant.eigenvalues(Circulant(r))) for r in rows
+            ]
+            for k, sample in enumerate(batch):
+                want = np.concatenate([single[k].values for single in singles])
+                assert sample.values.tobytes() == want.tobytes(), (n, sample.klass)
+
+    def test_batch_scratch_is_bounded(self):
+        # the classes are split in row steps, so beyond its output the call
+        # needs a few steps' worth of scratch (about 4 MiB each)
+        rng = np.random.default_rng(42)
+        spectra = circulant.batch_spectra(circulant.sample_rows(100, 1.0, 1000, rng))
+        tracemalloc.start()
+        try:
+            samples = circulant.classify_spacings_batch(spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(sample.values.nbytes for sample in samples)
+        assert peak < output + 16 * 2**20
 
 
 class TestSpacingLaws:

@@ -35,12 +35,22 @@ class TestSpacingCyclic:
         header = (out / "spacing_cc.csv").read_text().splitlines()[0]
         assert header == "bin_center,empirical_density,analytic_density"
 
-    def test_generic_at_n3_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("n", ["3", "4"])
+    def test_generic_at_small_n_fails_before_sampling(self, tmp_path, monkeypatch, capsys, n):
+        # a scalar circulant with N <= 4 has at most one conjugate pair
+        def never(*args):
+            raise AssertionError("sampled before the generic-pair check")
+
+        monkeypatch.setattr(cli.circulant, "sample_rows", never)
+        out = tmp_path / "x"
         code = run(
-            "spacing-cyclic", "--n", "3", "--count", "10", "--class", "generic",
-            "--out", str(tmp_path / "x"),
+            "spacing-cyclic", "--n", n, "--count", "2000000", "--class", "generic",
+            "--out", str(out),
         )
         assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no generic pairs" in err
+        assert not out.exists()
 
     def test_block_run_and_ising_reference_flag(self, tmp_path):
         out = tmp_path / "blocks"
@@ -125,6 +135,20 @@ class TestDeterminism:
         (csv,) = [p.name for p in out.glob("*.csv")]
         assert (out / csv).read_bytes() == (replayed / csv).read_bytes()
 
+    def test_replay_ignores_options_walk_no_longer_takes(self, tmp_path):
+        # walk manifests of earlier versions record bins, ks_threshold and
+        # threads, which walk never used
+        out = tmp_path / "orig"
+        argv = ["walk", "--sites", "22", "--w", "0.8", "--p", "0.3", "--t-max", "50"]
+        assert run(*argv, "--out", str(out)) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["params"].update(bins=50, ks_threshold=0.05, threads=1)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        replayed = tmp_path / "replayed"
+        assert run("replay", "--manifest", str(old), "--out", str(replayed)) == cli.EXIT_OK
+        assert (out / "walk.csv").read_bytes() == (replayed / "walk.csv").read_bytes()
+
 
 class TestBadArguments:
     """Invalid numbers exit 2 with one stderr line, before anything is drawn."""
@@ -160,6 +184,41 @@ class TestBadArguments:
         assert exc.value.code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"argument {flag}:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["walk", "--sites", "5", "--w", "0.5", "--p", "0.5"], ["rmt-decay", "--t-max", "3"]],
+        ids=["walk", "rmt-decay"],
+    )
+    @pytest.mark.parametrize(
+        "option",
+        [["--bins", "7"], ["--ks-threshold", "0.1"], ["--assert"], ["--threads", "2"]],
+        ids=lambda option: option[0],
+    )
+    def test_spacing_options_rejected_elsewhere(self, tmp_path, capsys, command, option):
+        # walk and rmt-decay write no histogram and no fit report
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run(*command, *option, "--out", str(out))
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"unrecognized arguments: {option[0]}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{", b"\xff\xfe", b'{"command": "walk"}', b"[1]"],
+        ids=["not-json", "not-utf8", "no-params", "not-an-object"],
+    )
+    def test_malformed_manifest_replay_exit_2(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(content)
+        out = tmp_path / "never"
+        code = run("replay", "--manifest", str(manifest), "--out", str(out))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "manifest" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -243,12 +302,12 @@ class TestNothingWrittenOnError:
         assert blocker.read_text() == ""
 
     def test_usage_error_creates_no_directory(self, tmp_path):
-        # scalar N = 4 has one conjugate pair, so no generic pairs: found
-        # after sampling, but before anything is written
+        # the coupled chain at N = 3 has no conjugate pairs: found after
+        # sampling, but before anything is written
         out = tmp_path / "never"
         code = run(
-            "spacing-cyclic", "--n", "4", "--count", "10", "--class", "generic",
-            "--out", str(out),
+            "spacing-cyclic", "--n", "3", "--count", "10", "--blocks", "ising",
+            "--class", "cc", "--out", str(out),
         )
         assert code == cli.EXIT_USAGE
         assert not out.exists()
