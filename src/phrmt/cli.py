@@ -134,16 +134,31 @@ def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
     """Run ``sampler(size, rng)`` over fixed chunks with spawned streams.
 
     The chunk layout depends only on ``count``, so the concatenated result is
-    identical for any thread count.
+    identical for any thread count.  Overflow is not warned about: the
+    commands check their spacings and name the flag that caused it.
     """
+
+    def quiet(size, rng):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sampler(size, rng)
+
     sizes = seeding.chunk_sizes(count)
     rngs = seeding.spawn_generators(seed, len(sizes))
     if threads <= 1 or len(sizes) == 1:
-        parts = [sampler(sz, rng) for sz, rng in zip(sizes, rngs)]
+        parts = [quiet(sz, rng) for sz, rng in zip(sizes, rngs)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(sampler, sizes, rngs))
+            parts = list(pool.map(quiet, sizes, rngs))
     return np.concatenate(parts, axis=0)
+
+
+def _sort_finite(values: np.ndarray, what: str, flag: str) -> None:
+    """Sort ``values`` in place; UsageError unless all are finite.  Sorted,
+    they are finite exactly when the last one is: NaN sorts last and +inf is
+    the maximum."""
+    values.sort()
+    if not math.isfinite(values[-1]):
+        raise UsageError(f"{what} are not finite; {flag} is out of range")
 
 
 def _histogram_csv(values: np.ndarray, bins: int, hi: float, analytic_pdf=None) -> str:
@@ -180,6 +195,7 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             return np.abs(e1 - e2)
 
         spac = _chunked_sample(draw, args.count, args.seed, args.threads)
+        _sort_finite(spac, f"{args.family} spacings", "--sigma")
         return {f"{name}.csv": _histogram_csv(spac, args.bins, 8.0 * args.sigma)}, []
 
     spac = _chunked_sample(
@@ -190,6 +206,7 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     )
     if spac.size == 0:
         raise UsageError("no f1 draws with real eigenvalues (bc > 0); raise --count")
+    _sort_finite(spac, "f1 spacings", "--sigma")
     csv = _histogram_csv(
         spac,
         args.bins,
@@ -197,7 +214,7 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         analytic_pdf=lambda s: pseudo2x2.spacing_pdf_f1(s, args.sigma),
     )
     rep = stats.ks_statistic(
-        np.sort(spac),
+        spac,
         lambda s: pseudo2x2.spacing_cdf_f1(s, args.sigma),
         pass_threshold=args.ks_threshold,
         label=name,
@@ -247,6 +264,7 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             zip(("cc", "rc", "generic"), blockcirc.classify_block_batch(spectra))
         )
 
+    scale_flag = "--weight" if args.blocks == "none" else "--block-scale"
     files: dict[str, str] = {}
     reports: list[stats.GofReport] = []
     for klass in classes:
@@ -255,12 +273,18 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             if args.klass == "all":
                 continue  # e.g. scalar N <= 4 has at most one conjugate pair
             raise UsageError(f"no {klass} pairs for this configuration")
-        normed = stats.normalize_unit_mean(sample)
+        # one array per class: normalised and sorted in place, then read by
+        # both the histogram and the KS distance
+        try:
+            values = stats.normalize_unit_mean(sample).values
+        except ValueError as exc:
+            raise UsageError(f"{klass} spacings: {exc}; {scale_flag} is out of range")
+        _sort_finite(values, f"{klass} spacings", scale_flag)
         files[f"spacing_{klass}.csv"] = _histogram_csv(
-            normed.values, args.bins, 5.0, analytic_pdf=_CLASS_PDFS[klass]
+            values, args.bins, 5.0, analytic_pdf=_CLASS_PDFS[klass]
         )
         rep = stats.ks_statistic(
-            np.sort(normed.values),
+            values,
             _CLASS_CDFS[klass],
             pass_threshold=args.ks_threshold,
             label=f"spacing_{klass}",

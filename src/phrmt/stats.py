@@ -82,52 +82,89 @@ class GofReport:
         }
 
 
+# Values per slice of the sorted-order check and of the KS sup, so their
+# temporaries stay a few MiB whatever the sample size.
+_KS_SLICE = 2**18
+
+
+def _check_ascending(x: np.ndarray) -> None:
+    """Raise ValueError unless ``x`` is ascending in ``np.sort``'s order (NaN
+    last).  Each slice is checked together with the value before it, so a
+    descent across a slice boundary is found too."""
+    for start in range(0, x.size, _KS_SLICE):
+        s = x[max(start - 1, 0) : start + _KS_SLICE]
+        ok = s[:-1] <= s[1:]
+        # a pair fails ``<=`` by descending or by holding NaN; only a NaN
+        # after its neighbour is in order
+        if not (ok.all() or np.isnan(s[1:][~ok]).all()):
+            raise ValueError("sample must be sorted ascending")
+
+
 def histogram(sample, edges) -> Histogram:
     """Bin a sample into half-open bins; a value equal to the first edge lands
-    in the first bin, a value equal to the last edge is out of range."""
+    in the first bin, a value equal to the last edge is out of range.
+
+    The sample must be sorted ascending (NaN last, as ``np.sort`` leaves it),
+    else ValueError: each bin's count is the distance between the insertion
+    points of its two edges, so NaN, above every edge, is out of range.
+    """
     sample = np.ascontiguousarray(sample, dtype=float)
     edges = np.ascontiguousarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least 2 edges")
     if np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing")
-    nbins = edges.size - 1
-    idx = np.searchsorted(edges, sample, side="right") - 1
-    in_range = (idx >= 0) & (idx < nbins)
-    counts = np.bincount(idx[in_range], minlength=nbins)
+    _check_ascending(sample)
+    counts = np.diff(np.searchsorted(sample, edges, side="left"))
     return Histogram(
         edges=edges,
         counts=counts,
         total=sample.size,
-        n_out=int(sample.size - in_range.sum()),
+        n_out=int(sample.size - counts.sum()),
     )
 
 
 def normalize_unit_mean(sample: SpacingSample) -> SpacingSample:
-    """Rescale a spacing sample so its mean is exactly 1."""
+    """Rescale a spacing sample so its mean is exactly 1.
+
+    Takes ownership: the values are divided in place, and the sample given
+    is returned.
+    """
     vals = sample.values
     if vals.size == 0:
         raise ValueError("cannot normalize an empty sample")
     mean = float(vals.mean())
+    if not math.isfinite(mean):
+        raise ValueError("cannot normalize a sample whose mean is not finite")
     if mean <= 0.0:
         raise ValueError("cannot normalize a sample with nonpositive mean")
-    return SpacingSample(sample.klass, vals / mean)
+    np.divide(vals, mean, out=vals)
+    return sample
 
 
 def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> GofReport:
     """Sup-norm distance between the empirical CDF of a sorted sample and a
-    reference CDF.  The sample must already be sorted ascending."""
+    reference CDF.  The sample must already be sorted ascending.
+
+    ``cdf`` must act element by element: it is evaluated one slice at a
+    time, and the max of the slices' sups is the whole sample's sup, bit for
+    bit.
+    """
     x = np.ascontiguousarray(sample, dtype=float)
-    if x.size == 0:
+    n = x.size
+    if n == 0:
         raise ValueError("empty sample")
-    if np.any(np.diff(x) < 0):
-        raise ValueError("sample must be sorted ascending")
-    f = np.asarray(cdf(x), dtype=float)
-    i = np.arange(x.size)
-    d = max(float(np.max(f - i / x.size)), float(np.max((i + 1) / x.size - f)))
+    _check_ascending(x)
+    sups = []
+    for start in range(0, n, _KS_SLICE):
+        stop = min(start + _KS_SLICE, n)
+        f = np.asarray(cdf(x[start:stop]), dtype=float)
+        i = np.arange(start, stop)
+        sups += [np.max(f - i / n), np.max((i + 1) / n - f)]
+    d = float(np.max(sups))
     return GofReport(
         ks_distance=d,
-        n=int(x.size),
+        n=n,
         pass_threshold=pass_threshold,
         passed=bool(d < pass_threshold),
         label=label,

@@ -71,6 +71,27 @@ def scalar_loop_erf(x: float) -> float:
         k += 1
 
 
+def binned_histogram(sample, edges) -> tuple[np.ndarray, int]:
+    """Counts over half-open bins [e_i, e_{i+1}) and the out-of-range count,
+    by locating each value among the edges, in any order: the reference for
+    the library's edge search over a sorted sample."""
+    sample = np.asarray(sample, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    nbins = edges.size - 1
+    idx = np.searchsorted(edges, sample, side="right") - 1
+    in_range = (idx >= 0) & (idx < nbins)
+    return np.bincount(idx[in_range], minlength=nbins), int(sample.size - in_range.sum())
+
+
+def whole_array_ks(x, cdf) -> float:
+    """KS distance of a sorted sample, with the CDF evaluated on the whole
+    array at once: the reference for the library's sup over slices."""
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(x.size)
+    return max(float(np.max(f - i / x.size)), float(np.max((i + 1) / x.size - f)))
+
+
 def quad_lower_gamma(a: float, z: float) -> float:
     """gamma(a, z) by adaptive quadrature of t^(a-1) e^-t."""
     if z == 0.0:

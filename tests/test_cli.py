@@ -187,6 +187,27 @@ class TestBadArguments:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, what, flag",
+        [
+            # the entry width underflows to 0, so every spacing is 0
+            (["spacing-cyclic", "--n", "8", "--count", "200", "--weight", "1e308"],
+             "cc spacings", "--weight"),
+            (["spacing-cyclic", "--n", "5", "--count", "200", "--blocks", "gaussian",
+              "--block-scale", "1e308"], "cc spacings", "--block-scale"),
+            (["spacing2x2", "--family", "f2", "--count", "2000", "--sigma", "1e200"],
+             "f2 spacings", "--sigma"),
+        ],
+        ids=["weight", "block-scale", "sigma"],
+    )
+    def test_spacings_out_of_range_exit_2(self, tmp_path, capsys, argv, what, flag):
+        # the values are drawn, then found unusable: no file may be written
+        out = tmp_path / "never"
+        assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and what in err and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command",
         [["walk", "--sites", "5", "--w", "0.5", "--p", "0.5"], ["rmt-decay", "--t-max", "3"]],
         ids=["walk", "rmt-decay"],

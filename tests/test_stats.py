@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from phrmt import circulant, stats
+import oracles
+from phrmt import circulant, pseudo2x2, stats
 from phrmt.circulant import SpacingSample
 
 
@@ -36,10 +38,22 @@ class TestHistogram:
 
     def test_density_integrates_to_in_range_fraction(self):
         rng = np.random.default_rng(1)
-        sample = rng.normal(size=1000)
+        sample = np.sort(rng.normal(size=1000))
         h = stats.histogram(sample, np.linspace(-1.0, 1.0, 21))
         in_range = np.sum((sample >= -1.0) & (sample < 1.0)) / sample.size
         assert float(np.sum(h.densities() * h.widths)) == pytest.approx(in_range, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "sample", [[0.5, 0.2], [0.1, math.nan, 0.2]], ids=["descent", "nan-not-last"]
+    )
+    def test_unsorted_rejected(self, sample):
+        with pytest.raises(ValueError, match="sorted"):
+            stats.histogram(sample, [0.0, 1.0])
+
+    def test_nan_last_is_out_of_range(self):
+        h = stats.histogram([0.5, math.nan, math.nan], [0.0, 1.0])
+        assert h.counts.tolist() == [1]
+        assert h.n_out == 2
 
     def test_bad_edges(self):
         with pytest.raises(ValueError):
@@ -66,11 +80,23 @@ class TestNormalizeUnitMean:
         twice = stats.normalize_unit_mean(once)
         assert np.allclose(once.values, twice.values, rtol=0, atol=1e-15)
 
+    def test_in_place(self):
+        s = SpacingSample("rc", np.array([1.0, 3.0]))
+        expect = s.values / 2.0
+        out = stats.normalize_unit_mean(s)
+        assert out is s
+        assert out.values.tobytes() == expect.tobytes()
+
     def test_errors(self):
         with pytest.raises(ValueError):
             stats.normalize_unit_mean(SpacingSample("cc", np.array([])))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonpositive"):
             stats.normalize_unit_mean(SpacingSample("cc", np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_mean_not_finite(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            stats.normalize_unit_mean(SpacingSample("cc", np.array([1.0, bad])))
 
 
 class TestKsStatistic:
@@ -81,6 +107,17 @@ class TestKsStatistic:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             stats.ks_statistic(np.array([2.0, 1.0]), lambda x: x)
+
+    @pytest.mark.parametrize("slice_", [2, 7])
+    def test_descent_across_slice_boundary_rejected(self, monkeypatch, slice_):
+        monkeypatch.setattr(stats, "_KS_SLICE", slice_)
+        x = np.arange(3.0 * slice_)
+        # swap the last value of the first slice with the first of the next:
+        # each slice is still ascending on its own
+        x[slice_ - 1], x[slice_] = x[slice_], x[slice_ - 1]
+        assert np.all(np.diff(x[:slice_]) > 0) and np.all(np.diff(x[slice_:]) > 0)
+        with pytest.raises(ValueError, match="sorted"):
+            stats.ks_statistic(x, lambda v: np.clip(v, 0.0, 1.0))
 
     def test_sample_from_the_cdf(self):
         rng = np.random.default_rng(11)
@@ -117,6 +154,74 @@ class TestKsStatistic:
         b = rng.normal(size=20_000)
         assert stats.ks_two_sample(a, b) < 0.02
         assert stats.ks_two_sample(a, b + 1.0) > 0.3
+
+
+_EDGES = np.linspace(0.0, 5.0, 51)
+
+
+def _edge_case_sample(nan: bool) -> np.ndarray:
+    """A sorted sample with values on every edge, below the first edge, at
+    and above the last one (+inf too), duplicates, and optionally one NaN."""
+    rng = np.random.default_rng(21)
+    parts = [
+        rng.rayleigh(0.8, size=400),
+        _EDGES,
+        _EDGES[10:20],
+        np.repeat(1.3, 5),
+        [-0.5, -0.0, 5.0, 6.5, math.inf],
+    ]
+    if nan:
+        parts.append([math.nan])
+    return np.sort(np.concatenate(parts))
+
+
+_CDFS = {
+    "cc": stats.cdf_cc,
+    "rc": stats.cdf_rc,
+    "generic": stats.cdf_generic,
+    "f1": pseudo2x2.spacing_cdf_f1,
+}
+
+
+class TestSortedPassMatchesOracles:
+    """Edge search and sliced KS give the bits of whole-array binning and KS."""
+
+    @pytest.mark.parametrize("slice_", [1, 2, 7, 10**6])
+    @pytest.mark.parametrize("nan", [False, True], ids=["no-nan", "nan"])
+    def test_histogram(self, monkeypatch, slice_, nan):
+        monkeypatch.setattr(stats, "_KS_SLICE", slice_)
+        x = _edge_case_sample(nan)
+        counts, n_out = oracles.binned_histogram(x, _EDGES)
+        h = stats.histogram(x, _EDGES)
+        assert h.counts.tolist() == counts.tolist()
+        assert h.n_out == n_out
+        assert h.total == x.size
+
+    @pytest.mark.parametrize("slice_", [1, 2, 7, 10**6])
+    @pytest.mark.parametrize("law", sorted(_CDFS))
+    @pytest.mark.parametrize("nan", [False, True], ids=["no-nan", "nan"])
+    def test_ks(self, monkeypatch, slice_, law, nan):
+        monkeypatch.setattr(stats, "_KS_SLICE", slice_)
+        x = _edge_case_sample(nan)
+        expect = oracles.whole_array_ks(x, _CDFS[law])
+        got = stats.ks_statistic(x, _CDFS[law]).ks_distance
+        assert got.hex() == expect.hex()
+
+    def test_sorted_pass_scratch_is_bounded(self):
+        # normalise, sort, histogram and KS of one class hold the sample once
+        # and a few slices of scratch (2**18 values, 2 MiB each)
+        rng = np.random.default_rng(22)
+        tracemalloc.start()
+        try:
+            sample = SpacingSample("generic", rng.rayleigh(size=2_000_000))
+            values = stats.normalize_unit_mean(sample).values
+            values.sort()
+            stats.histogram(values, _EDGES)
+            stats.ks_statistic(values, stats.cdf_generic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes + 16 * 2**20
 
 
 class TestQuadratureAndCdfs:
