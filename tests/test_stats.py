@@ -76,9 +76,10 @@ class TestNormalizeUnitMean:
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         s = SpacingSample("generic", rng.random(100) + 0.5)
-        once = stats.normalize_unit_mean(s)
-        twice = stats.normalize_unit_mean(once)
-        assert np.allclose(once.values, twice.values, rtol=0, atol=1e-15)
+        # normalisation is in place, so copy the first result before the second
+        first = stats.normalize_unit_mean(s).values.copy()
+        twice = stats.normalize_unit_mean(s)
+        assert np.allclose(first, twice.values, rtol=0, atol=1e-15)
 
     def test_in_place(self):
         s = SpacingSample("rc", np.array([1.0, 3.0]))
