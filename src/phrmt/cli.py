@@ -130,6 +130,11 @@ def _write_manifest(out: OutputDir, args) -> None:
     out.write_text("manifest.json", _json_text(manifest))
 
 
+def _cpu_threads() -> int:
+    """Worker count of the sampling pools: every CPU, read when called."""
+    return os.cpu_count() or 1
+
+
 def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
     """Run ``sampler(size, rng)`` over fixed chunks with spawned streams.
 
@@ -186,6 +191,13 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             f"unknown family {args.family!r}; choose from {sorted(_FAMILY_BY_NAME)}"
         )
     family = pseudo2x2.Family2x2(tag, epsilon=args.epsilon)
+    # the densities divide by the bin widths, which overflows once a width is
+    # subnormal
+    if 8.0 * args.sigma / args.bins < np.finfo(float).tiny:
+        raise UsageError(
+            f"{args.family} histogram bins are narrower than the smallest normal float; "
+            "--sigma is out of range"
+        )
     name = f"spacing2x2_{args.family}"
     if tag is not pseudo2x2.FamilyTag.F1_ANTIDIAG_IMAG:
 
@@ -395,9 +407,18 @@ def cmd_rmt_decay(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     if args.realizations > 0:
         mc = np.empty(ts.size)
         se = np.empty(ts.size)
+        # every step draws from its own stream, so how the steps are split
+        # over workers does not change a bit of the output
         rngs = seeding.spawn_generators(args.seed, ts.size)
-        for i, t in enumerate(ts):
-            mc[i], se[i] = walk.rmt_decay_monte_carlo(args.n, int(t), args.realizations, rngs[i])
+        w = min(_cpu_threads(), ts.size)
+
+        def run(k):
+            return walk.rmt_decay_monte_carlo(args.n, ts[k::w], args.realizations, rngs[k::w])
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=w) as pool:
+            parts = list(pool.map(run, range(w)))
+        for k, part in enumerate(parts):
+            mc[k::w], se[k::w] = zip(*part)
         header += ["monte_carlo_scaled", "monte_carlo_stderr"]
         cols += [mc, se]
     return {"decay.csv": _csv_text(header, cols)}, []
@@ -496,7 +517,7 @@ def _add_spacing_options(sp):
     sp.add_argument(
         "--threads",
         type=_int_at_least(1),
-        default=os.cpu_count() or 1,
+        default=_cpu_threads(),
         help="worker pool size",
     )
     sp.add_argument("--bins", type=_int_at_least(1), default=50, help="histogram bins")

@@ -3,7 +3,9 @@
 Ensemble loops partition work into fixed-size chunks, each driven by an
 independently spawned child stream of the root seed.  The chunk layout
 depends only on the total count, never on the worker count, so results are
-byte-identical no matter how many threads execute the chunks.
+byte-identical no matter how many threads execute the chunks.  The decay
+Monte Carlo does the same per time step: each step owns one spawned stream,
+so its steps may be split over any number of workers.
 """
 
 from __future__ import annotations

@@ -223,6 +223,42 @@ def rmt_decay_asymptotic(t: int) -> float:
     return pref * (2.0 / (t + 3.0) + math.pi / ((t + 3.0) * (t + 5.0)))
 
 
+# Values per slice in the decay Monte Carlo: 2**13 floats are 64 KiB, below
+# glibc's 128 KiB mmap threshold, so each per-slice temporary is served from
+# the heap and reused on the next slice instead of being mapped, faulted in
+# and unmapped again.
+_SLICE = 2**13
+
+
+def _fill_decay_moduli(
+    out: np.ndarray, rbuf: np.ndarray, ubuf: np.ndarray, rng: np.random.Generator
+) -> None:
+    """Fill ``out`` with moduli under the decay law's radial density.
+
+    Each rejection round draws m candidates r whole into ``rbuf`` (which
+    holds at least 2.5 ``out.size`` + 16 floats, the first round's m), then
+    their m uniforms u slice by slice into ``ubuf`` (``_SLICE`` floats).
+    Every double takes one draw from the stream, so this consumes it exactly
+    as two whole m-draws do, and keeps the same values.
+    """
+    count = out.size
+    have = 0
+    fmax = math.exp(-math.pi / 4.0)
+    while have < count:
+        m = int((count - have) * 2.5) + 16
+        r = rng.random(out=rbuf[:m])
+        for lo in range(0, m, _SLICE):
+            rs = r[lo : lo + _SLICE]
+            # the u draws past the last value needed are still taken, so the
+            # stream stands where the whole draw would have left it
+            u = rng.random(out=ubuf[: rs.size])
+            if have < count:
+                keep = rs[u * fmax <= rs * rs * np.exp(-math.pi * rs * rs / 4.0)]
+                take = min(keep.size, count - have)
+                out[have : have + take] = keep[:take]
+                have += take
+
+
 def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
     """Eigenvalue moduli under the decay law's radial density.
 
@@ -232,26 +268,20 @@ def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
     increasing on [0, 1], so the envelope constant is its value at 1).
     """
     out = np.empty(count)
-    have = 0
-    fmax = math.exp(-math.pi / 4.0)
-    while have < count:
-        m = int((count - have) * 2.5) + 16
-        r = rng.random(m)
-        u = rng.random(m)
-        keep = r[u * fmax <= r * r * np.exp(-math.pi * r * r / 4.0)]
-        take = min(keep.size, count - have)
-        out[have : have + take] = keep[:take]
-        have += take
+    _fill_decay_moduli(out, np.empty(int(count * 2.5) + 16), np.empty(_SLICE), rng)
     return out
 
 
 def rmt_decay_monte_carlo(
-    n: int, t: int, realizations: int, rng: np.random.Generator
-) -> tuple[float, float]:
+    n: int,
+    t: int | Sequence[int],
+    realizations: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo estimate (mean, standard error) of the scaled decay law.
 
-    Each realization draws N-1 synthetic eigenvalues: moduli from
-    ``sample_decay_moduli`` and phases uniform on (-pi, pi], with the
+    Each realization draws N-1 synthetic eigenvalues: moduli from the
+    ``sample_decay_moduli`` law and phases uniform on (-pi, pi], with the
     stationary mode excluded by subtracting the real-axis (theta = 0)
     angular component from the uniform one (signed weights +2 and -1, which
     keep total angular mass 1).  The excess-occupation mode sum for a delta
@@ -263,22 +293,47 @@ def rmt_decay_monte_carlo(
     terms share r^t.  The real part of the complex mode sum is the sum of
     these real parts, so this equals the real part of sum lambda^t to
     round-off, without forming any complex power.
+
+    Given a sequence of steps and a sequence of generators, one per step,
+    one (mean, stderr) is returned per step, in order, each equal to the
+    call for that step alone.  The scratch (about 3.5 realizations (N-1)
+    floats) is allocated once per call and reused on every step; the
+    phases, powers and row sums run over slices of ``_SLICE`` values.
     """
+    single = np.ndim(t) == 0
+    steps = [int(s) for s in np.atleast_1d(t)]
+    rngs = [rng] if single else list(rng)
     if n < 3:
         raise ValueError("need at least 3 sites")
     if realizations < 1:
         raise ValueError("need at least one realization")
-    if t < 0:
+    if min(steps, default=0) < 0:
         raise ValueError("time must be nonnegative")
-    r = sample_decay_moduli(realizations * (n - 1), rng).reshape(realizations, n - 1)
-    theta = rng.uniform(-math.pi, math.pi, size=(realizations, n - 1))
+    if len(rngs) != len(steps):
+        raise ValueError("need one generator per time step")
+    modes = n - 1
+    moduli = np.empty(realizations * modes)
+    rbuf = np.empty(int(moduli.size * 2.5) + 16)
+    ubuf = np.empty(_SLICE)
+    est = np.empty(realizations)
+    rows = max(1, _SLICE // modes)
     # Site average over j != 0 of the mode sum: sum_{j != 0} omega_j^l = -1
     # for every l >= 1, so the average collapses to a plain mode sum.
     site_factor = -1.0 / (n * (n - 1))
-    rt = r**t
-    s_uniform = (rt * np.cos(t * theta)).sum(axis=1) * site_factor
-    s_axis = rt.sum(axis=1) * site_factor
-    est = n * (2.0 * s_uniform - s_axis)
-    mean = float(est.mean())
-    stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
-    return mean, stderr
+    results = []
+    for s, g in zip(steps, rngs):
+        _fill_decay_moduli(moduli, rbuf, ubuf, g)
+        # the phases follow all the moduli in the stream; row slices of the
+        # whole (realizations, N-1) draw give the same values
+        for lo in range(0, realizations, rows):
+            hi = min(lo + rows, realizations)
+            r = moduli[lo * modes : hi * modes].reshape(hi - lo, modes)
+            theta = g.uniform(-math.pi, math.pi, size=r.shape)
+            rt = r**s
+            s_uniform = (rt * np.cos(s * theta)).sum(axis=1) * site_factor
+            s_axis = rt.sum(axis=1) * site_factor
+            est[lo:hi] = n * (2.0 * s_uniform - s_axis)
+        mean = float(est.mean())
+        stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
+        results.append((mean, stderr))
+    return results[0] if single else results

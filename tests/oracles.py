@@ -188,6 +188,42 @@ def complex_power_decay_estimate(r, theta, t: int) -> tuple[float, float]:
     return float(est.mean()), float(est.std(ddof=1) / math.sqrt(realizations))
 
 
+def whole_array_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Moduli under the density proportional to r^2 exp(-pi r^2/4) on [0, 1],
+    by rejection rounds that each draw their m candidates and then their m
+    uniforms as whole arrays: the reference for the library's sliced draws."""
+    out = np.empty(count)
+    have = 0
+    fmax = math.exp(-math.pi / 4.0)
+    while have < count:
+        m = int((count - have) * 2.5) + 16
+        r = rng.random(m)
+        u = rng.random(m)
+        keep = r[u * fmax <= r * r * np.exp(-math.pi * r * r / 4.0)]
+        take = min(keep.size, count - have)
+        out[have : have + take] = keep[:take]
+        have += take
+    return out
+
+
+def whole_array_decay_estimate(
+    n: int, t: int, realizations: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Monte Carlo decay estimate (mean, standard error) with every draw and
+    every power, cosine and row sum taken over the whole (realizations, N-1)
+    array at once: the reference for the library's per-slice estimator."""
+    r = whole_array_decay_moduli(realizations * (n - 1), rng).reshape(realizations, n - 1)
+    theta = rng.uniform(-math.pi, math.pi, size=(realizations, n - 1))
+    site_factor = -1.0 / (n * (n - 1))
+    rt = r**t
+    s_uniform = (rt * np.cos(t * theta)).sum(axis=1) * site_factor
+    s_axis = rt.sum(axis=1) * site_factor
+    est = n * (2.0 * s_uniform - s_axis)
+    mean = float(est.mean())
+    stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
+    return mean, stderr
+
+
 def char_poly_eigs_2x2(m) -> tuple[complex, complex]:
     """Roots of the characteristic polynomial via numpy's polynomial solver."""
     m = np.asarray(m, dtype=complex)

@@ -108,6 +108,16 @@ class TestDeterminism:
         b = (tmp_path / "t4" / "spacing2x2_f1.csv").read_bytes()
         assert a == b
 
+    def test_decay_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # rmt-decay splits its steps over one worker per CPU
+        args = ["rmt-decay", "--t-max", "7", "--n", "9", "--realizations", "50", "--seed", "6"]
+        csvs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert run(*args, "--out", str(tmp_path / f"w{cpus}")) == cli.EXIT_OK
+            csvs.append((tmp_path / f"w{cpus}" / "decay.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+
     def test_replay_reproduces_csv(self, tmp_path):
         out = tmp_path / "orig"
         run("spacing-cyclic", "--n", "5", "--count", "300", "--seed", "9", "--out", str(out))
@@ -196,11 +206,14 @@ class TestBadArguments:
               "--block-scale", "1e308"], "cc spacings", "--block-scale"),
             (["spacing2x2", "--family", "f2", "--count", "2000", "--sigma", "1e200"],
              "f2 spacings", "--sigma"),
+            # bins 8 sigma / 50 wide are subnormal, so the densities overflow
+            (["spacing2x2", "--family", "f2", "--count", "100", "--sigma", "1e-320"],
+             "f2 histogram bins", "--sigma"),
         ],
-        ids=["weight", "block-scale", "sigma"],
+        ids=["weight", "block-scale", "sigma", "sigma-subnormal-bins"],
     )
     def test_spacings_out_of_range_exit_2(self, tmp_path, capsys, argv, what, flag):
-        # the values are drawn, then found unusable: no file may be written
+        # the values or bins are found unusable: no file may be written
         out = tmp_path / "never"
         assert run(*argv, "--out", str(out)) == cli.EXIT_USAGE
         err = capsys.readouterr().err

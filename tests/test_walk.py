@@ -317,8 +317,66 @@ class TestDecayMonteCarlo:
         got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(74))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    # R = 1000 at N = _SLICE + 2 is left out: the oracle's whole draws alone
+    # would take 0.3 GB
+    @pytest.mark.parametrize(
+        "n, realizations",
+        [(3, 1), (3, 7), (3, 1000), (32, 1), (32, 7), (32, 1000),
+         (walk._SLICE + 2, 1), (walk._SLICE + 2, 7)],
+    )
+    def test_step_sequence_matches_per_step_calls_and_whole_array_oracle(self, n, realizations):
+        steps = [0, 1, 2, 3, 100, 200]
+        seeds = [[n, realizations, t] for t in steps]
+        got = walk.rmt_decay_monte_carlo(
+            n, steps, realizations, [np.random.default_rng(s) for s in seeds]
+        )
+        assert len(got) == len(steps)
+        for t, seed, pair in zip(steps, seeds, got):
+            alone = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(seed))
+            want = oracles.whole_array_decay_estimate(
+                n, t, realizations, np.random.default_rng(seed)
+            )
+            assert [x.hex() for x in pair] == [x.hex() for x in alone] == [x.hex() for x in want]
+
+    def test_second_rejection_round_matches_oracle(self):
+        # at seed 343, 45 moduli need a second round: the first round's 128
+        # candidates accept fewer than 45
+        n, realizations, seed = 10, 5, 343
+        count = realizations * (n - 1)
+        first = np.random.default_rng(seed)
+        m = int(count * 2.5) + 16
+        r, u = first.random(m), first.random(m)
+        accepted = u * math.exp(-math.pi / 4.0) <= r * r * np.exp(-math.pi * r * r / 4.0)
+        assert np.count_nonzero(accepted) < count
+        for t in (1, 7):
+            got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(seed))
+            want = oracles.whole_array_decay_estimate(
+                n, t, realizations, np.random.default_rng(seed)
+            )
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        for size in (count, 20_000):  # 20,000 moduli draw over seven u slices
+            got = walk.sample_decay_moduli(size, np.random.default_rng(seed))
+            want = oracles.whole_array_decay_moduli(size, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("steps", [50, 1], ids=["50-steps", "1-step"])
+    def test_scratch_is_allocated_once_per_call(self, steps):
+        # two buffers of 2.5 and 1 times R (N-1) floats, plus slices and R-sized sums
+        n, realizations = 32, 2000
+        bound = 3.5 * realizations * (n - 1) * 8 + 2**20
+        rngs = [np.random.default_rng(s) for s in range(steps)]
+        tracemalloc.start()
+        try:
+            walk.rmt_decay_monte_carlo(n, list(range(steps)), realizations, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
     def test_domain(self):
         rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            walk.rmt_decay_monte_carlo(8, [1, 2], 10, [rng])
         with pytest.raises(ValueError):
             walk.rmt_decay_monte_carlo(2, 1, 10, rng)
         with pytest.raises(ValueError):
