@@ -26,6 +26,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -135,6 +136,16 @@ def _cpu_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_map(fn, threads: int, *iterables) -> list:
+    """``list(map(fn, *iterables))`` over a pool of ``threads`` workers; one
+    item or one thread runs on the calling thread (see docs/decisions.md)."""
+    items = list(zip(*iterables))
+    if threads <= 1 or len(items) <= 1:
+        return [fn(*item) for item in items]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda item: fn(*item), items))
+
+
 def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
     """Run ``sampler(size, rng)`` over fixed chunks with spawned streams.
 
@@ -149,12 +160,7 @@ def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
 
     sizes = seeding.chunk_sizes(count)
     rngs = seeding.spawn_generators(seed, len(sizes))
-    if threads <= 1 or len(sizes) == 1:
-        parts = [quiet(sz, rng) for sz, rng in zip(sizes, rngs)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(quiet, sizes, rngs))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_pool_map(quiet, threads, sizes, rngs), axis=0)
 
 
 def _sort_finite(values: np.ndarray, what: str, flag: str) -> None:
@@ -199,39 +205,35 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             "--sigma is out of range"
         )
     name = f"spacing2x2_{args.family}"
-    if tag is not pseudo2x2.FamilyTag.F1_ANTIDIAG_IMAG:
-
+    pdf = cdf = None
+    if tag is pseudo2x2.FamilyTag.F1_ANTIDIAG_IMAG:
+        # b and c have width sigma, so below this the products b c, whose
+        # sign picks the real sector, underflow to 0 or lose their precision
+        if args.sigma * args.sigma < np.finfo(float).tiny:
+            raise UsageError(
+                "f1 products bc are below the smallest normal float; --sigma is out of range"
+            )
+        def draw(sz, rng):
+            return pseudo2x2.spacing_samples_f1(sz, args.sigma, rng)
+        pdf = functools.partial(pseudo2x2.spacing_pdf_f1, sigma=args.sigma)
+        cdf = functools.partial(pseudo2x2.spacing_cdf_f1, sigma=args.sigma)
+    else:
         def draw(sz, rng):
             params = pseudo2x2.sample_params(family, args.sigma, sz, rng)
             e1, e2 = pseudo2x2.eigenvalues2(pseudo2x2.family_matrix(family, **params))
             return np.abs(e1 - e2)
 
-        spac = _chunked_sample(draw, args.count, args.seed, args.threads)
-        _sort_finite(spac, f"{args.family} spacings", "--sigma")
-        return {f"{name}.csv": _histogram_csv(spac, args.bins, 8.0 * args.sigma)}, []
-
-    spac = _chunked_sample(
-        lambda sz, rng: pseudo2x2.spacing_samples_f1(sz, args.sigma, rng).real,
-        args.count,
-        args.seed,
-        args.threads,
-    )
+    spac = _chunked_sample(draw, args.count, args.seed, args.threads)
+    # only f1 drops draws: those outside the real sector
     if spac.size == 0:
         raise UsageError("no f1 draws with real eigenvalues (bc > 0); raise --count")
-    _sort_finite(spac, "f1 spacings", "--sigma")
-    csv = _histogram_csv(
-        spac,
-        args.bins,
-        8.0 * args.sigma,
-        analytic_pdf=lambda s: pseudo2x2.spacing_pdf_f1(s, args.sigma),
-    )
-    rep = stats.ks_statistic(
-        spac,
-        lambda s: pseudo2x2.spacing_cdf_f1(s, args.sigma),
-        pass_threshold=args.ks_threshold,
-        label=name,
-    )
-    return {f"{name}.csv": csv, f"gof_{name}.json": _json_text(rep.to_dict())}, [rep]
+    _sort_finite(spac, f"{args.family} spacings", "--sigma")
+    files = {f"{name}.csv": _histogram_csv(spac, args.bins, 8.0 * args.sigma, pdf)}
+    if cdf is None:
+        return files, []
+    rep = stats.ks_statistic(spac, cdf, pass_threshold=args.ks_threshold, label=name)
+    files[f"gof_{name}.json"] = _json_text(dataclasses.asdict(rep))
+    return files, [rep]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +259,13 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         raise UsageError("no generic pairs for a scalar circulant with N <= 4")
 
     if args.blocks == "none":
+        scale_flag = "--weight"
+        classify = circulant.classify_spacings_batch
         def draw(sz, rng):
             return circulant.batch_spectra(circulant.sample_rows(args.n, args.weight, sz, rng))
-        spectra = _chunked_sample(draw, args.count, args.seed, args.threads)
-        samples = dict(
-            zip(("cc", "rc", "generic"), circulant.classify_spacings_batch(spectra))
-        )
     else:
+        scale_flag = "--block-scale"
+        classify = blockcirc.classify_block_batch
         sampler = (
             blockcirc.sample_gaussian_blocks
             if args.blocks == "gaussian"
@@ -271,12 +273,15 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         )
         def draw(sz, rng):
             return blockcirc.batch_block_spectra(sampler(args.n, sz, rng, scale=args.block_scale))
-        spectra = _chunked_sample(draw, args.count, args.seed, args.threads)
-        samples = dict(
-            zip(("cc", "rc", "generic"), blockcirc.classify_block_batch(spectra))
+    spectra = _chunked_sample(draw, args.count, args.seed, args.threads)
+    samples = dict(zip(("cc", "rc", "generic"), classify(spectra)))
+    if not any(sample.values.size for sample in samples.values()):
+        # block spectra are paired numerically: at a small enough scale every
+        # eigenvalue is within the tolerance of the real axis, so all are real
+        raise UsageError(
+            f"no cc, rc or generic spacings for this configuration; {scale_flag} is out of range"
         )
 
-    scale_flag = "--weight" if args.blocks == "none" else "--block-scale"
     files: dict[str, str] = {}
     reports: list[stats.GofReport] = []
     for klass in classes:
@@ -308,7 +313,7 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         # reference-only
         rep = dataclasses.replace(rep, reference_only=args.blocks == "ising")
         reports.append(rep)
-        files[f"gof_{klass}.json"] = _json_text(rep.to_dict())
+        files[f"gof_{klass}.json"] = _json_text(dataclasses.asdict(rep))
     return files, reports
 
 
@@ -415,9 +420,7 @@ def cmd_rmt_decay(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         def run(k):
             return walk.rmt_decay_monte_carlo(args.n, ts[k::w], args.realizations, rngs[k::w])
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(run, range(w)))
-        for k, part in enumerate(parts):
+        for k, part in enumerate(_pool_map(run, w, range(w))):
             mc[k::w], se[k::w] = zip(*part)
         header += ["monte_carlo_scaled", "monte_carlo_stderr"]
         cols += [mc, se]
@@ -528,7 +531,7 @@ def _add_spacing_options(sp):
         help="turn failed goodness-of-fit reports into exit code 4",
     )
     sp.add_argument(
-        "--ks-threshold", type=float, default=0.05, help="KS pass threshold for reports"
+        "--ks-threshold", type=_positive_float, default=0.05, help="KS pass threshold for reports"
     )
 
 

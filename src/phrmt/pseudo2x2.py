@@ -53,7 +53,6 @@ __all__ = [
     "spacing_pdf_f1",
     "spacing_cdf_f1",
     "spacing_samples_f1",
-    "F1Spacings",
 ]
 
 
@@ -283,26 +282,12 @@ def spacing_cdf_f1(s, sigma: float = 1.0):
     return _f1_grid()(np.asarray(s, dtype=float) / sigma)
 
 
-@dataclass(frozen=True)
-class F1Spacings:
-    """|E+ - E-| of F1 draws, split by eigenvalue type.
-
-    ``real`` holds draws with bc > 0 (two real eigenvalues; the sector the
-    K0 law describes), ``conjugate`` holds bc <= 0 draws, where the spacing
-    is the Euclidean distance 2|Im E| across the conjugate pair.
-    """
-
-    real: np.ndarray
-    conjugate: np.ndarray
-
-
-def spacing_samples_f1(count: int, sigma: float, rng: np.random.Generator) -> F1Spacings:
-    """Spacings |E+ - E-| = 2 sqrt(|bc|) for ``count`` independent F1 draws."""
+def spacing_samples_f1(count: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Spacings |E+ - E-| = 2 sqrt(bc) of the real-sector draws (bc > 0, the
+    sector the K0 law describes) among ``count`` independent F1 draws."""
     if count < 1:
         raise ValueError("count must be >= 1")
     fam = Family2x2(FamilyTag.F1_ANTIDIAG_IMAG)
     draws = sample_params(fam, sigma, count, rng)
     bc = draws["b"] * draws["c"]
-    spacing = 2.0 * np.sqrt(np.abs(bc))
-    real_sector = bc > 0
-    return F1Spacings(real=spacing[real_sector], conjugate=spacing[~real_sector])
+    return 2.0 * np.sqrt(bc[bc > 0])

@@ -115,36 +115,41 @@ def erf(x):
     """Error function, odd in x; a float for scalar input, else an array.
 
     Maclaurin series for |x| <= 2 (cancellation amplifies roundoff by at most
-    exp(4)), run elementwise on the whole array with a per-element stop;
-    Lentz continued fraction for the complement above, element by element.
+    exp(4)), run on the whole array until every element's last term is below
+    1e-17 of its sum; Lentz continued fraction for the complement above,
+    element by element.  erf(+-inf) is +-1 and erf(NaN) is NaN.
     """
     arr = np.asarray(x, dtype=float)
     ax = np.abs(arr).ravel()
-    vals = np.zeros(ax.size)
-    series = np.flatnonzero((ax > 0.0) & (ax <= 2.0))
-    xs = ax[series]
-    term = xs.copy()
-    acc = xs.copy()
+    series = ax <= 2.0
+    # the tail (and NaN) goes through the series as 0, which stops at once
+    acc = np.where(series, ax, 0.0)
+    neg_sq = -acc * acc
+    term = acc.copy()
+    inc = np.empty_like(acc)
     for k in range(1, _MAX_TERMS):
-        if not series.size:
-            break
-        term *= -xs * xs / k
-        inc = term / (2 * k + 1)
+        np.divide(neg_sq, k, out=inc)
+        term *= inc
+        np.divide(term, 2 * k + 1, out=inc)
         acc += inc
-        done = np.abs(inc) <= 1e-17 * np.abs(acc)
-        vals[series[done]] = acc[done]
-        keep = ~done
-        series, xs, term, acc = series[keep], xs[keep], term[keep], acc[keep]
-    vals[series] = acc
-    vals *= 2.0 / math.sqrt(math.pi)
-    tail = np.flatnonzero(~(ax <= 2.0))  # NaN goes here, as in the scalar loop
-    vals[tail] = [_erf_cf(v) for v in ax[tail].tolist()]
-    out = np.where(arr < 0.0, -vals.reshape(arr.shape), vals.reshape(arr.shape))
+        # a term below 1e-17 of the sum is under half an ulp of it, and for
+        # |x| <= 2 it comes only once the terms shrink, so the elements that
+        # met this stop earlier run on without changing a bit
+        np.abs(inc, out=inc)
+        if (inc <= 1e-17 * np.abs(acc)).all():
+            break
+    acc *= 2.0 / math.sqrt(math.pi)
+    tail = np.flatnonzero(~series)
+    acc[tail] = [_erf_cf(v) for v in ax[tail].tolist()]
+    out = np.where(arr < 0.0, -acc.reshape(arr.shape), acc.reshape(arr.shape))
     return float(out) if out.ndim == 0 else out
 
 
 def _erf_cf(x: float) -> float:
-    """erf(x) for x > 2 from the Lentz continued fraction of erfc."""
+    """erf(x) for x > 2 from the Lentz continued fraction of erfc; 1 at
+    infinity and NaN for NaN, where the fraction would not converge."""
+    if not math.isfinite(x):  # +inf (x is a modulus) or NaN
+        return 1.0 if x > 0.0 else x
     # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
     f = x
     c = x

@@ -71,16 +71,6 @@ class GofReport:
     label: str = ""
     reference_only: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "ks_distance": self.ks_distance,
-            "n": self.n,
-            "pass_threshold": self.pass_threshold,
-            "passed": self.passed,
-            "reference_only": self.reference_only,
-        }
-
 
 # Values per slice of the sorted-order check and of the KS sup, so their
 # temporaries stay a few MiB whatever the sample size.

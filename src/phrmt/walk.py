@@ -75,6 +75,9 @@ class WalkConfig:
             row = np.ascontiguousarray(self.row, dtype=float)
             if row.size != self.n_sites:
                 raise ValueError("hop row length must equal n_sites")
+            # NaN fails no comparison, so it must be caught before them
+            if not np.isfinite(row).all():
+                raise ValueError("hop probabilities must be finite")
             if row.min() < 0:
                 raise ValueError("hop probabilities must be nonnegative")
             if abs(row.sum() - 1.0) > _PROB_TOL:

@@ -185,6 +185,12 @@ class TestBadArguments:
             (["spacing2x2", "--family", "f3", "--count", "10", "--epsilon", "0"], "--epsilon"),
             (["spacing2x2", "--family", "f3", "--count", "10", "--epsilon", "nan"], "--epsilon"),
             (["spacing-cyclic", "--n", "2", "--count", "10"], "--n"),
+            (["spacing-cyclic", "--n", "5", "--count", "10", "--ks-threshold", "nan"],
+             "--ks-threshold"),
+            (["spacing-cyclic", "--n", "5", "--count", "10", "--ks-threshold", "inf"],
+             "--ks-threshold"),
+            (["spacing2x2", "--family", "f1", "--count", "10", "--ks-threshold", "-0.1"],
+             "--ks-threshold"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):
@@ -209,8 +215,22 @@ class TestBadArguments:
             # bins 8 sigma / 50 wide are subnormal, so the densities overflow
             (["spacing2x2", "--family", "f2", "--count", "100", "--sigma", "1e-320"],
              "f2 histogram bins", "--sigma"),
+            # b c would underflow to 0, so no count could give a draw in the
+            # real sector: refused before sampling
+            (["spacing2x2", "--family", "f1", "--count", "1000", "--sigma", "1e-200"],
+             "f1 products bc", "--sigma"),
+            (["spacing2x2", "--family", "f1", "--count", "1000", "--sigma", "1e-300"],
+             "f1 products bc", "--sigma"),
+            # every eigenvalue is within the absolute pairing tolerance of the
+            # real axis, so all three classes are empty
+            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
+              "--block-scale", "1e-12"], "no cc, rc or generic spacings", "--block-scale"),
+            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
+              "--block-scale", "1e-12", "--class", "cc"],
+             "no cc, rc or generic spacings", "--block-scale"),
         ],
-        ids=["weight", "block-scale", "sigma", "sigma-subnormal-bins"],
+        ids=["weight", "block-scale", "sigma", "sigma-subnormal-bins", "f1-bc-underflow-200",
+             "f1-bc-underflow-300", "block-scale-all-real", "block-scale-all-real-cc"],
     )
     def test_spacings_out_of_range_exit_2(self, tmp_path, capsys, argv, what, flag):
         # the values or bins are found unusable: no file may be written
@@ -437,6 +457,21 @@ class TestWalkCommand:
     def test_invalid_row_is_usage_error(self, tmp_path):
         code = run("walk", "--row", "0.5,0.2", "--t-max", "5", "--out", str(tmp_path / "b"))
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nan_row_is_usage_error(self, tmp_path, capsys, source):
+        # NaN passes the sign and sum checks, and would write nan deviations
+        if source == "flag":
+            argv = ["--row", "0.5,nan,0.5"]
+        else:
+            cfgfile = tmp_path / "nan.cfg"
+            cfgfile.write_text("row = 0.5, nan, 0.5\n")
+            argv = ["--config", str(cfgfile)]
+        out = tmp_path / "never"
+        assert run("walk", *argv, "--t-max", "3", "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+        assert not out.exists()
 
     def test_bad_config_line_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

@@ -277,7 +277,7 @@ class TestF1SpacingLaw:
     def test_empirical_mean_matches_quadrature(self):
         rng = np.random.default_rng(22)
         draws = p2.spacing_samples_f1(1_000_000, 1.0, rng)
-        assert draws.real.mean() == pytest.approx(F1_MEAN_SPACING, rel=0.01)
+        assert draws.mean() == pytest.approx(F1_MEAN_SPACING, rel=0.01)
 
     def test_mean_oracle_still_agrees(self):
         val, _ = integrate.quad(
@@ -286,14 +286,21 @@ class TestF1SpacingLaw:
         assert val == pytest.approx(F1_MEAN_SPACING, rel=1e-8)
 
     def test_sectors_are_complementary(self):
-        rng = np.random.default_rng(23)
-        draws = p2.spacing_samples_f1(10_000, 2.0, rng)
-        assert draws.real.size + draws.conjugate.size == 10_000
+        # the result is 2 sqrt(bc) of exactly the real-sector draws, in draw
+        # order; the conjugate sector (bc <= 0) is dropped
+        draws = p2.spacing_samples_f1(10_000, 2.0, np.random.default_rng(23))
+        params = p2.sample_params(
+            Family2x2(FamilyTag.F1_ANTIDIAG_IMAG), 2.0, 10_000, np.random.default_rng(23)
+        )
+        bc = params["b"] * params["c"]
+        real = bc > 0
+        assert 0 < real.sum() < 10_000
+        assert draws.tobytes() == (2.0 * np.sqrt(bc[real])).tobytes()
 
     def test_ks_against_law_quick(self):
         rng = np.random.default_rng(24)
         draws = p2.spacing_samples_f1(20_000, 1.0, rng)
-        rep = stats.ks_statistic(np.sort(draws.real), p2.spacing_cdf_f1, 0.02)
+        rep = stats.ks_statistic(np.sort(draws), p2.spacing_cdf_f1, 0.02)
         assert rep.passed, rep.ks_distance
 
     def test_small_spacing_log_repulsion(self):

@@ -1,6 +1,10 @@
+import dataclasses
+import json
 import math
 import tracemalloc
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +269,13 @@ class TestQuadratureAndCdfs:
         assert np.allclose(stats.cdf_generic(s), expect, atol=1e-15)
 
     def test_gof_report_roundtrip(self):
+        # the CLI writes a report's fields as its JSON, so they must be the
+        # shipped schema's keys and read back to the same report
         rep = stats.ks_statistic(np.array([0.5]), lambda x: np.clip(x, 0, 1), 0.9, "demo")
-        d = rep.to_dict()
+        d = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert d["label"] == "demo" and d["passed"] and d["n"] == 1
+        schema = json.loads(
+            resources.files("phrmt").joinpath("schemas/gof_report.schema.json").read_text()
+        )
+        jsonschema.validate(d, schema)
+        assert stats.GofReport(**d) == rep

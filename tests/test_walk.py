@@ -45,6 +45,12 @@ class TestWalkConfig:
         with pytest.raises(ValueError):
             WalkConfig(n_sites=3, row=np.array([1.2, -0.1, -0.1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # NaN passes both the sign check and the sum check
+        with pytest.raises(ValueError, match="finite"):
+            WalkConfig(n_sites=3, row=np.array([0.5, bad, 0.5]))
+
     def test_hop_row_biased(self):
         row = RING22.hop_row()
         assert row[0] == pytest.approx(0.2)
