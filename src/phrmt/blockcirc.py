@@ -40,14 +40,14 @@ __all__ = [
     "batch_block_spectra",
     "sample_gaussian_blocks",
     "sample_ising_blocks",
-    "pair_conjugates",
     "classify_block_batch",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # Relative tolerance of conjugate pairing: an eigenvalue is real, and two
-# eigenvalues are conjugates, within _RTOL * max(1, max |eigenvalue|).
+# eigenvalues are conjugates, within _RTOL * max |eigenvalue| of its spectrum,
+# so the pairing does not depend on the unit of the spectrum.
 _RTOL = 1e-9
 
 
@@ -110,9 +110,9 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:
     """All 2N eigenvalues via the block Fourier reduction, with numerically
-    detected conjugation pairing."""
+    detected conjugation pairing (see ``_pair_batch``)."""
     eigs = batch_block_spectra(b.blocks[None])[0]
-    return Spectrum(eigs=eigs, partner=pair_conjugates(eigs))
+    return Spectrum(eigs=eigs, partner=_pair_batch(eigs[None])[0])
 
 
 def sample_gaussian_blocks(
@@ -163,51 +163,16 @@ def sample_ising_blocks(
     return blocks
 
 
-def pair_conjugates(eigs: np.ndarray) -> np.ndarray:
-    """Detect the conjugation pairing of a spectrum numerically.
-
-    An eigenvalue with |Im| below _RTOL * scale is marked real (self-paired);
-    the rest are greedily matched to their nearest conjugate within the same
-    tolerance, starting from the smallest imaginary parts.  A complex
-    eigenvalue without a partner raises: every ensemble handled here has
-    spectra closed under conjugation, so a failure means bad input.
-    """
-    eigs = np.ascontiguousarray(eigs, dtype=complex)
-    n = eigs.size
-    scale = max(1.0, float(np.max(np.abs(eigs))) if n else 1.0)
-    tol = _RTOL * scale
-    partner = -np.ones(n, dtype=int)
-    order = np.argsort(np.abs(eigs.imag), kind="stable")
-    for i in order:
-        if partner[i] >= 0:
-            continue
-        if abs(eigs[i].imag) <= tol:
-            partner[i] = i
-            continue
-        free = np.flatnonzero(partner < 0)
-        free = free[free != i]
-        if free.size == 0:
-            raise ValueError("spectrum is not closed under conjugation")
-        dist = np.abs(eigs[free] - np.conj(eigs[i]))
-        j = free[np.argmin(dist)]
-        if dist.min() > tol:
-            raise ValueError(
-                f"no conjugate partner within tolerance for eigenvalue {eigs[i]}"
-            )
-        partner[i] = j
-        partner[j] = i
-    return partner
-
-
 def _pair_batch(spectra: np.ndarray) -> np.ndarray:
-    """Partner arrays of a (count, n) batch, equal row by row to
-    ``pair_conjugates``.
+    """Partner arrays of a (count, n) batch of spectra.
 
-    A row is paired here when every complex eigenvalue's nearest conjugate
-    is mutual, strictly nearer than the second nearest, and within the
-    tolerance; greedy matching then picks exactly these pairs.  Every other
-    row (ties, missing partners, non-finite entries) goes to
-    ``pair_conjugates`` itself.
+    With tol = _RTOL * max|e| over a row, an eigenvalue with |Im| <= tol is
+    real (its own partner).  Every other eigenvalue is paired with its
+    nearest conjugate, which must be mutual, strictly nearer than the second
+    nearest, and within tol.  A row that fails this (a tie, a complex
+    eigenvalue without a partner, a non-finite entry) raises ``ValueError``
+    naming the row: every ensemble handled here has spectra closed under
+    conjugation, so such a row has no pairing that is not arbitrary.
     """
     count, n = spectra.shape
     partner = np.empty((count, n), dtype=int)
@@ -215,11 +180,10 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
     step = _chunk_rows(n)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
-        scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
-        tol = _RTOL * scale
+        tol = _RTOL * np.max(np.abs(rows), axis=1)
         real = np.abs(rows.imag) <= tol[:, None]
         # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
-        # non-finite entries fall back, so inf - inf here is never used
+        # non-finite entries are refused, so inf - inf here is never used
         with np.errstate(invalid="ignore"):
             d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
         d[real[:, :, None] | real[:, None, :]] = np.inf
@@ -233,10 +197,14 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
         del d
         mutual = np.take_along_axis(near, near, axis=1) == idx
         ok = real | (mutual & (d1 < d2) & (d1 <= tol[:, None]))
-        good = ok.all(axis=1) & np.isfinite(rows).all(axis=1)
+        bad = np.flatnonzero(~(ok.all(axis=1) & np.isfinite(rows).all(axis=1)))
+        if bad.size:
+            raise ValueError(
+                f"spectrum row {start + bad[0]} cannot be paired: a complex eigenvalue has no "
+                "conjugate partner that is unique, mutual and within tolerance, or an entry "
+                "is not finite"
+            )
         partner[start : start + len(rows)] = np.where(real, idx, near)
-        for r in np.flatnonzero(~good):
-            partner[start + r] = pair_conjugates(rows[r])
     return partner
 
 

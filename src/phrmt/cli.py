@@ -274,10 +274,16 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         def draw(sz, rng):
             return blockcirc.batch_block_spectra(sampler(args.n, sz, rng, scale=args.block_scale))
     spectra = _chunked_sample(draw, args.count, args.seed, args.threads)
-    samples = dict(zip(("cc", "rc", "generic"), classify(spectra)))
+    try:
+        samples = dict(zip(("cc", "rc", "generic"), classify(spectra)))
+    except ValueError as exc:
+        # block spectra are paired numerically; draws that overflow or
+        # underflow leave rows with no unambiguous pairing
+        raise UsageError(f"{exc}; {scale_flag} is out of range")
     if not any(sample.values.size for sample in samples.values()):
-        # block spectra are paired numerically: at a small enough scale every
-        # eigenvalue is within the tolerance of the real axis, so all are real
+        # the pairing tolerance is relative to the largest eigenvalue, so this
+        # needs a spectrum whose imaginary parts are tiny against it: the
+        # coupled chain at a tiny scale, whose fixed -1/2 entries do not scale
         raise UsageError(
             f"no cc, rc or generic spacings for this configuration; {scale_flag} is out of range"
         )

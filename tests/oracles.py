@@ -250,6 +250,47 @@ def multiset_distance(e1, e2) -> float:
     return worst
 
 
+# Relative tolerance of conjugate pairing; the library's ``blockcirc._RTOL``.
+PAIRING_RTOL = 1e-9
+
+
+def pair_conjugates(eigs: np.ndarray) -> np.ndarray:
+    """Detect the conjugation pairing of a spectrum numerically.
+
+    An eigenvalue with |Im| below PAIRING_RTOL * max|eigenvalue| is marked
+    real (self-paired); the rest are greedily matched to their nearest
+    conjugate within the same tolerance, starting from the smallest imaginary
+    parts.  A complex eigenvalue without a partner raises.  The reference
+    for ``blockcirc._pair_batch``, which must give the same partners on
+    every row it accepts.
+    """
+    eigs = np.ascontiguousarray(eigs, dtype=complex)
+    n = eigs.size
+    scale = float(np.max(np.abs(eigs))) if n else 0.0
+    tol = PAIRING_RTOL * scale
+    partner = -np.ones(n, dtype=int)
+    order = np.argsort(np.abs(eigs.imag), kind="stable")
+    for i in order:
+        if partner[i] >= 0:
+            continue
+        if abs(eigs[i].imag) <= tol:
+            partner[i] = i
+            continue
+        free = np.flatnonzero(partner < 0)
+        free = free[free != i]
+        if free.size == 0:
+            raise ValueError("spectrum is not closed under conjugation")
+        dist = np.abs(eigs[free] - np.conj(eigs[i]))
+        j = free[np.argmin(dist)]
+        if dist.min() > tol:
+            raise ValueError(
+                f"no conjugate partner within tolerance for eigenvalue {eigs[i]}"
+            )
+        partner[i] = j
+        partner[j] = i
+    return partner
+
+
 # ---------------------------------------------------------------------------
 # Coupled-chain block circulant (A, B, B, ..., B^dagger)
 # ---------------------------------------------------------------------------

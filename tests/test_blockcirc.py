@@ -85,6 +85,14 @@ class TestEigenvaluesBlock:
                 ref = np.linalg.eigvals(b.dense())
                 assert oracles.multiset_distance(mine, ref) <= 1e-9
 
+    def test_degenerate_spectrum_is_refused(self):
+        # (A, 0, 0, 0) has every transform block equal to A, whose eigenvalues
+        # are +-i: four copies of each, so no conjugate pairing is unique
+        blocks = np.zeros((4, 2, 2), dtype=complex)
+        blocks[0] = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="spectrum row 0"):
+            blockcirc.eigenvalues_block(BlockCirculant(blocks))
+
     def test_ising_against_dense_oracle(self):
         rng = np.random.default_rng(54)
         for n in (3, 4, 6):
@@ -140,19 +148,32 @@ class TestSamplers:
         assert np.max(np.abs(spec.eigs.imag)) > 0.1
 
 
+def _pair(eigs):
+    return blockcirc._pair_batch(np.asarray(eigs, dtype=complex)[None])[0]
+
+
 class TestConjugatePairing:
     def test_manual_spectrum(self):
-        eigs = np.array([2.0, 1.0 + 1.0j, 1.0 - 1.0j, -3.0])
-        partner = blockcirc.pair_conjugates(eigs)
+        partner = _pair([2.0, 1.0 + 1.0j, 1.0 - 1.0j, -3.0])
         assert partner.tolist() == [0, 2, 1, 3]
 
     def test_tolerance_scale(self):
-        eigs = np.array([1.0 + 1e-12j, 5.0])
-        assert blockcirc.pair_conjugates(eigs).tolist() == [0, 1]
+        assert _pair([1.0 + 1e-12j, 5.0]).tolist() == [0, 1]
+
+    def test_tolerance_is_relative(self):
+        # scaling a spectrum by a power of two is exact, so it must not
+        # change the pairing, however small the scale
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_gaussian_blocks(25, 50, np.random.default_rng(1))
+        )
+        want = blockcirc._pair_batch(spectra)
+        assert np.any(want != np.arange(want.shape[1])), "the draw must have complex pairs"
+        for power in (-20, -40, -100, -500):
+            assert np.array_equal(blockcirc._pair_batch(spectra * 2.0**power), want)
 
     def test_unpaired_complex_rejected(self):
         with pytest.raises(ValueError):
-            blockcirc.pair_conjugates(np.array([1.0 + 1.0j, 2.0]))
+            _pair([1.0 + 1.0j, 2.0])
 
     def test_classifier_matches_scalar_structural_path(self):
         # scalar circulant spectra run through the numeric classifier give
@@ -162,39 +183,29 @@ class TestConjugatePairing:
         spec = circulant.eigenvalues(circulant.Circulant(row))
         structural = circulant.classify_spacings(spec)
         numeric = circulant.classify_spacings(
-            circulant.Spectrum(spec.eigs, blockcirc.pair_conjugates(spec.eigs))
+            circulant.Spectrum(spec.eigs, _pair(spec.eigs))
         )
         for s, n in zip(structural, numeric):
             assert np.allclose(np.sort(s.values), np.sort(n.values), rtol=1e-10)
 
 
 def _greedy_pairing(spectra):
-    return np.array([blockcirc.pair_conjugates(row) for row in spectra])
+    return np.array([oracles.pair_conjugates(row) for row in spectra])
 
 
 def _greedy_classes(spectra):
     """Per-row greedy pairing and classification, concatenated in row order."""
     parts = [
-        circulant.classify_spacings(circulant.Spectrum(row, blockcirc.pair_conjugates(row)))
+        circulant.classify_spacings(circulant.Spectrum(row, oracles.pair_conjugates(row)))
         for row in spectra
     ]
     return [np.concatenate([s.values for s in samples]) for samples in zip(*parts)]
 
 
-def _count_greedy_calls(monkeypatch):
-    calls = []
-    greedy = blockcirc.pair_conjugates
-
-    def counted(eigs):
-        calls.append(1)
-        return greedy(eigs)
-
-    monkeypatch.setattr(blockcirc, "pair_conjugates", counted)
-    return calls
-
-
 class TestBatchedPairing:
-    """The batched pairing must reproduce greedy ``pair_conjugates`` exactly."""
+    """The batched pairing must reproduce the greedy oracle
+    ``oracles.pair_conjugates`` exactly on every row it accepts, and refuse
+    the rows on which greedy's answer would be arbitrary."""
 
     @pytest.mark.parametrize(
         "sampler, n",
@@ -253,35 +264,35 @@ class TestBatchedPairing:
         for sample, values in zip(got, _greedy_classes(spectra)):
             assert sample.values.tobytes() == values.tobytes(), sample.klass
 
-    def test_near_real_pair_counts_as_real(self, monkeypatch):
-        # |Im| = 1e-12 is inside the 1e-9 tolerance: two reals, as in greedy
-        calls = _count_greedy_calls(monkeypatch)
+    def test_near_real_pair_counts_as_real(self):
+        # |Im| = 1e-12 is inside the tolerance 2e-9: two reals, as in greedy
         spectra = np.array([[1.0 + 1e-12j, 1.0 - 1e-12j, 2.0 + 1.0j, 2.0 - 1.0j]])
         assert blockcirc._pair_batch(spectra).tolist() == [[0, 1, 3, 2]]
-        assert not calls
+        assert _greedy_pairing(spectra).tolist() == [[0, 1, 3, 2]]
 
-    def test_tied_row_falls_back_to_greedy(self, monkeypatch):
+    def test_tied_row_is_refused(self):
+        # a duplicated conjugate pair: greedy would settle the tie by its
+        # visiting order, so the batched rule names the row instead
         spectra = blockcirc.batch_block_spectra(
             blockcirc.sample_gaussian_blocks(6, 40, np.random.default_rng(5))
         )
         row = spectra[17]
-        partner = blockcirc.pair_conjugates(row)
+        partner = oracles.pair_conjugates(row)
         i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]  # two conjugate pairs
         row[k], row[partner[k]] = row[i], row[partner[i]]  # duplicate a conjugate pair
-        want_pairs = _greedy_pairing(spectra)
-        want = _greedy_classes(spectra)
-        calls = _count_greedy_calls(monkeypatch)
-        assert np.array_equal(blockcirc._pair_batch(spectra), want_pairs)
-        assert len(calls) == 1
-        for sample, values in zip(blockcirc.classify_block_batch(spectra), want):
-            assert sample.values.tobytes() == values.tobytes(), sample.klass
+        with pytest.raises(ValueError, match="spectrum row 17 "):
+            blockcirc._pair_batch(spectra)
+        with pytest.raises(ValueError, match="spectrum row 17 "):
+            blockcirc.classify_block_batch(spectra)
+        # every other row is still paired as greedy pairs it
+        rest = np.delete(spectra, 17, axis=0)
+        assert np.array_equal(blockcirc._pair_batch(rest), _greedy_pairing(rest))
 
-    def test_non_finite_rows_fall_back_to_greedy(self, monkeypatch):
-        spectra = np.array([[np.inf, 1 + 1j, 1 - 1j], [np.nan, 1 + 1j, 1 - 1j]])
-        want = _greedy_pairing(spectra)
-        calls = _count_greedy_calls(monkeypatch)
-        assert np.array_equal(blockcirc._pair_batch(spectra), want)
-        assert len(calls) == 2
+    def test_non_finite_rows_are_refused(self):
+        for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+            spectra = np.array([[2.0, 1 + 1j, 1 - 1j], [bad, 1 + 1j, 1 - 1j]])
+            with pytest.raises(ValueError, match="spectrum row 1 "):
+                blockcirc._pair_batch(spectra)
 
     def test_row_not_closed_under_conjugation_raises(self):
         spectra = blockcirc.batch_block_spectra(
@@ -301,16 +312,15 @@ class TestBatchedPairing:
         with pytest.raises(ValueError, match="no conjugate partner"):
             blockcirc.classify_block_batch(np.array([closed, broken]))
 
-    def test_mutual_tie_falls_back_to_greedy(self, monkeypatch):
+    def test_mutual_tie_is_refused(self):
         # x's conjugate is exactly as near to y as to z, while y and z each
-        # have a mutual nearest; only the strictness rule sends this to greedy
+        # have a mutual nearest; only the strictness rule refuses this row
         delta = 2.0**-33  # exact in 1 +- delta, far inside the tolerance
         closed = [1 + 1j, 1 - 1j, 3 + 2j, 3 - 2j]
         tied = [1 + 1j, 1 - 1j + delta, 1 - 1j - delta, 1 + 1j - delta]
-        spectra = np.array([closed, tied])
-        calls = _count_greedy_calls(monkeypatch)
-        assert blockcirc._pair_batch(spectra).tolist() == [[1, 0, 3, 2], [1, 0, 3, 2]]
-        assert len(calls) == 1
+        with pytest.raises(ValueError, match="spectrum row 1 "):
+            blockcirc._pair_batch(np.array([closed, tied]))
+        assert blockcirc._pair_batch(np.array([closed])).tolist() == [[1, 0, 3, 2]]
 
 
 class TestGaussianBlockLaws:

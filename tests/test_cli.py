@@ -75,6 +75,23 @@ class TestSpacingCyclic:
         cc = [line for line in lines if line.startswith("spacing_cc:")]
         assert len(cc) == 1 and cc[0].endswith("[ref]")
 
+    @pytest.mark.parametrize("scale", ["1e-6", "1e-9", "1e-12"])
+    def test_gaussian_blocks_are_scale_free(self, tmp_path, scale):
+        # the pairing tolerance is relative, so shrinking every block entry
+        # moves no eigenvalue between the classes
+        def reports(block_scale):
+            out = tmp_path / block_scale
+            assert run(
+                "spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
+                "--seed", "1", "--block-scale", block_scale, "--out", str(out),
+            ) == cli.EXIT_OK
+            return {k: json.loads((out / f"gof_{k}.json").read_text()) for k in ("cc", "rc", "generic")}
+
+        want, got = reports("1"), reports(scale)
+        for klass in want:
+            assert got[klass]["n"] == want[klass]["n"], klass
+            assert abs(got[klass]["ks_distance"] - want[klass]["ks_distance"]) <= 1e-12, klass
+
     def test_reports_validate_against_schema(self, tmp_path):
         out = tmp_path / "v"
         run("spacing-cyclic", "--n", "5", "--count", "200", "--seed", "1", "--out", str(out))
@@ -208,8 +225,9 @@ class TestBadArguments:
             # the entry width underflows to 0, so every spacing is 0
             (["spacing-cyclic", "--n", "8", "--count", "200", "--weight", "1e308"],
              "cc spacings", "--weight"),
+            # the block sums overflow, so the pairing refuses the non-finite rows
             (["spacing-cyclic", "--n", "5", "--count", "200", "--blocks", "gaussian",
-              "--block-scale", "1e308"], "cc spacings", "--block-scale"),
+              "--block-scale", "1e308"], "spectrum row", "--block-scale"),
             (["spacing2x2", "--family", "f2", "--count", "2000", "--sigma", "1e200"],
              "f2 spacings", "--sigma"),
             # bins 8 sigma / 50 wide are subnormal, so the densities overflow
@@ -221,16 +239,21 @@ class TestBadArguments:
              "f1 products bc", "--sigma"),
             (["spacing2x2", "--family", "f1", "--count", "1000", "--sigma", "1e-300"],
              "f1 products bc", "--sigma"),
-            # every eigenvalue is within the absolute pairing tolerance of the
-            # real axis, so all three classes are empty
-            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
-              "--block-scale", "1e-12"], "no cc, rc or generic spacings", "--block-scale"),
-            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
-              "--block-scale", "1e-12", "--class", "cc"],
+            # the chain's fixed -1/2 entries keep max|E| >= (N-1)/2, so at a
+            # tiny scale every eigenvalue is within the relative pairing
+            # tolerance of the real axis and all three classes are empty
+            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",
+              "--block-scale", "1e-150"], "no cc, rc or generic spacings", "--block-scale"),
+            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",
+              "--block-scale", "1e-150", "--class", "cc"],
              "no cc, rc or generic spacings", "--block-scale"),
+            # Gaussian draws underflow, which leaves ties the pairing refuses
+            (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
+              "--block-scale", "1e-200"], "spectrum row", "--block-scale"),
         ],
         ids=["weight", "block-scale", "sigma", "sigma-subnormal-bins", "f1-bc-underflow-200",
-             "f1-bc-underflow-300", "block-scale-all-real", "block-scale-all-real-cc"],
+             "f1-bc-underflow-300", "block-scale-all-real", "block-scale-all-real-cc",
+             "block-scale-underflow"],
     )
     def test_spacings_out_of_range_exit_2(self, tmp_path, capsys, argv, what, flag):
         # the values or bins are found unusable: no file may be written
