@@ -183,8 +183,9 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
         tol = _RTOL * np.max(np.abs(rows), axis=1)
         real = np.abs(rows.imag) <= tol[:, None]
         # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
-        # non-finite entries are refused, so inf - inf here is never used
-        with np.errstate(invalid="ignore"):
+        # non-finite entries are refused, so inf - inf here is never used,
+        # and a difference that overflows leaves no partner within tol
+        with np.errstate(invalid="ignore", over="ignore"):
             d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
         d[real[:, :, None] | real[:, None, :]] = np.inf
         d[:, idx, idx] = np.inf

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_i0, fourier, hyp2f1_series
+from .specfun import _as_result, bessel_i0, fourier, hyp2f1_series
 
 __all__ = [
     "Circulant",
@@ -268,24 +268,33 @@ def _classify_batch(
 # ---------------------------------------------------------------------------
 
 
-def pdf_cc(z: float) -> float:
-    """Half-Gaussian law for conjugate-pair spacings: (2/pi) exp(-z^2/pi)."""
-    z = float(z)
-    if z < 0:
+def _spacings(z) -> np.ndarray:
+    """``z`` as a float array; ValueError if any value is negative."""
+    z = np.asarray(z, dtype=float)
+    if (z < 0).any():
         raise ValueError("spacing must be nonnegative")
-    return (2.0 / math.pi) * math.exp(-z * z / math.pi)
+    return z
 
 
-def _i0_scaled(x: float) -> float:
+def pdf_cc(z):
+    """Half-Gaussian law for conjugate-pair spacings: (2/pi) exp(-z^2/pi)."""
+    z = _spacings(z)
+    return _as_result((2.0 / math.pi) * np.exp(-z * z / math.pi))
+
+
+def _i0_scaled(x: np.ndarray) -> np.ndarray:
     """exp(-x) I0(x); asymptotic expansion past the overflow range of I0."""
-    if x <= 600.0:
-        return math.exp(-x) * bessel_i0(x)
-    inv8 = 1.0 / (8.0 * x)
+    out = np.empty_like(x)
+    low = x <= 600.0
+    out[low] = np.exp(-x[low]) * bessel_i0(x[low])
+    high = x[~low]
+    inv8 = 1.0 / (8.0 * high)
     series = 1.0 + inv8 + 4.5 * inv8 * inv8 + 37.5 * inv8 * inv8 * inv8
-    return series / math.sqrt(2.0 * math.pi * x)
+    out[~low] = series / np.sqrt(2.0 * math.pi * high)
+    return out
 
 
-def pdf_rc(z: float) -> float:
+def pdf_rc(z):
     """Bessel-I0 law for real-complex spacings.
 
     p(z) = (3 sqrt(3) pi / 16) c^2 z exp(-(3 pi/16) c^2 z^2)
@@ -294,21 +303,17 @@ def pdf_rc(z: float) -> float:
     The exp/I0 product is evaluated in scaled form so large z underflows
     gracefully instead of overflowing I0.
     """
-    z = float(z)
-    if z < 0:
-        raise ValueError("spacing must be nonnegative")
+    z = _spacings(z)
     c2 = RC_SHAPE_CONST * RC_SHAPE_CONST
     amp = (3.0 * math.sqrt(3.0) * math.pi / 16.0) * c2
     p = (3.0 * math.pi / 16.0) * c2
     q = (3.0 * math.pi / 32.0) * c2
     u = z * z
     # exp(-p u) I0(q u) = exp((q - p) u) * [exp(-q u) I0(q u)], both factors <= 1
-    return amp * z * math.exp((q - p) * u) * _i0_scaled(q * u)
+    return _as_result(amp * z * np.exp((q - p) * u) * _i0_scaled(q * u))
 
 
-def pdf_generic(s: float) -> float:
+def pdf_generic(s):
     """Rayleigh law (unit mean) for non-conjugate complex pair spacings."""
-    s = float(s)
-    if s < 0:
-        raise ValueError("spacing must be nonnegative")
-    return (math.pi * s / 2.0) * math.exp(-math.pi * s * s / 4.0)
+    s = _spacings(s)
+    return _as_result((math.pi * s / 2.0) * np.exp(-math.pi * s * s / 4.0))

@@ -177,7 +177,7 @@ def _histogram_csv(values: np.ndarray, bins: int, hi: float, analytic_pdf=None) 
     cols = [hist.centers, hist.densities()]
     header = ["bin_center", "empirical_density"]
     if analytic_pdf is not None:
-        cols.append(np.array([analytic_pdf(c) for c in hist.centers]))
+        cols.append(analytic_pdf(hist.centers))
         header.append("analytic_density")
     return _csv_text(header, cols)
 
@@ -198,11 +198,12 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         )
     family = pseudo2x2.Family2x2(tag, epsilon=args.epsilon)
     # the densities divide by the bin widths, which overflows once a width is
-    # subnormal
-    if 8.0 * args.sigma / args.bins < np.finfo(float).tiny:
+    # subnormal, and by the count times the width, which must stay finite
+    width = 8.0 * args.sigma / args.bins
+    if not np.finfo(float).tiny <= width <= np.finfo(float).max / args.count:
         raise UsageError(
-            f"{args.family} histogram bins are narrower than the smallest normal float; "
-            "--sigma is out of range"
+            f"{args.family} histogram bins are narrower than the smallest normal float "
+            "or wider than the largest over --count; --sigma is out of range"
         )
     name = f"spacing2x2_{args.family}"
     pdf = cdf = None

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_k0
+from .circulant import _spacings
+from .specfun import _as_result, bessel_k0
 from .stats import GridCdf
 
 __all__ = [
@@ -155,21 +156,39 @@ def family_matrix(family: Family2x2, **params) -> np.ndarray:
     return flat.reshape(flat.shape[:-1] + (2, 2))
 
 
+def _times_pow2(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Complex z times powers of two p (one per leading index of z), part by
+    part on the real and imaginary parts: exact within the normal range, and
+    unlike a complex product it keeps the sign of every zero."""
+    parts = np.ascontiguousarray(z[..., None]).view(float)
+    return (parts * p.reshape(p.shape + (1,) * (parts.ndim - p.ndim))).view(complex)[..., 0]
+
+
 def eigenvalues2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a 2x2 matrix, or of a (..., 2, 2) stack, via the
     trace/determinant closed form.
 
     Returns (E+, E-), each of the stack's shape, with E+ carrying the
     principal branch of the square root; a vanishing discriminant yields a
-    repeated eigenvalue.
+    repeated eigenvalue.  Each matrix is solved scaled by the power of two
+    just above its largest entry (one with a non-finite entry unscaled), so
+    the discriminant's products neither underflow nor overflow; the scaling
+    is exact, so where they would not have anyway the result is unchanged.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.ascontiguousarray(m, dtype=complex)
     if m.shape[-2:] != (2, 2):
         raise ValueError("eigenvalues2 expects a 2x2 matrix or a stack of them")
+    parts = m.view(float).reshape(m.shape[:-2] + (8,))  # re, im of m00, m01, m10, m11
+    big = functools.reduce(np.maximum, (np.abs(parts[..., j]) for j in range(8)))
+    # 2^-e and 2^e must both be floats: e in [-1022, 1023]
+    e = np.where(np.isfinite(big), np.clip(np.frexp(big)[1], -1022, 1023), 0)
+    m = _times_pow2(m, np.ldexp(1.0, -e))
     tr = m[..., 0, 0] + m[..., 1, 1]
     det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    del m  # the scaled copy; the rest needs only tr and det
     disc = np.sqrt(tr * tr - 4.0 * det)
-    return (0.5 * (tr + disc), 0.5 * (tr - disc))
+    up = np.ldexp(1.0, e)
+    return (_times_pow2(0.5 * (tr + disc), up)[()], _times_pow2(0.5 * (tr - disc), up)[()])
 
 
 def metric_of(family: Family2x2) -> MetricPair:
@@ -252,8 +271,9 @@ def pseudo_hermiticity_residual(m: np.ndarray, eta: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def spacing_pdf_f1(s: float, sigma: float) -> float:
-    """Level-spacing density of F1: P(S) = S/(pi sigma^2) K0(S^2 / 4 sigma^2).
+def spacing_pdf_f1(s, sigma: float):
+    """Level-spacing density of F1: P(S) = S/(pi sigma^2) K0(S^2 / 4 sigma^2);
+    a float for scalar ``s``, else an array.
 
     P(0) = 0 by continuity (S K0(S^2) -> 0 despite the log divergence of K0).
     As S -> 0 the density behaves like (2/pi) S ln(1/S): level repulsion with
@@ -261,12 +281,12 @@ def spacing_pdf_f1(s: float, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    s = float(s)
-    if s < 0:
-        raise ValueError("spacing must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    return s / (math.pi * sigma * sigma) * bessel_k0(s * s / (4.0 * sigma * sigma))
+    s = _spacings(s)
+    out = np.zeros_like(s)
+    pos = s != 0.0
+    sp = s[pos]
+    out[pos] = sp / (math.pi * sigma * sigma) * bessel_k0(sp * sp / (4.0 * sigma * sigma))
+    return _as_result(out)
 
 
 @functools.cache

@@ -1,8 +1,10 @@
 """Self-contained special functions and the discrete Fourier transform.
 
 The special functions are implemented in-repo (series and continued
-fractions) so the numerical core carries no dependency beyond numpy.  Scalar
-routines return Python floats; ``erf`` also takes arrays.  ``fourier`` is
+fractions) so the numerical core carries no dependency beyond numpy.
+``bessel_i0``, ``bessel_k0`` and ``erf`` act element by element on arrays,
+returning a float for scalar input; ``lower_incomplete_gamma`` and
+``hyp2f1_series`` take and return Python floats.  ``fourier`` is
 numpy's FFT in the convention below, along any axis of an array.
 
 Conventions
@@ -37,78 +39,131 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _MAX_TERMS = 10_000
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order 0.
+def _converge(step, *state):
+    """Iterate ``done, *state = step(k, *state)`` for k = 1, 2, ... and return
+    the first state array as each element held it at its first ``done`` term,
+    in input order.  Finished elements ride along unread until they are half
+    the set, which is then compacted, so each term costs about the live set.
+    """
+    out = np.empty_like(state[0])
+    idx = np.arange(out.size)  # input position of each row of the state
+    live = np.ones(out.size, dtype=bool)
+    for k in range(1, _MAX_TERMS):
+        if not live.size:
+            break
+        done, *state = step(k, *state)
+        done &= live
+        if done.any():
+            out[idx[done]] = state[0][done]
+            live &= ~done
+            if 2 * np.count_nonzero(live) <= live.size:
+                idx, state, live = idx[live], [s[live] for s in state], live[live]
+    out[idx[live]] = state[0][live]
+    return out
 
-    Evaluated by its ascending power series; all terms are positive, so there
-    is no cancellation and the series is accurate over the supported range
+
+def _as_result(out: np.ndarray):
+    """A float for 0-d results, else the array."""
+    return float(out) if out.ndim == 0 else out
+
+
+def _i0_step(k, acc, term, q):
+    term = term * (q / (k * k))
+    acc = acc + term
+    # NaN stops at once: its sum stays NaN
+    return ~(term > 1e-17 * acc), acc, term, q
+
+
+def bessel_i0(x):
+    """Modified Bessel function of the first kind, order 0; a float for
+    scalar input, else an array.
+
+    Evaluated by its ascending power series, each element stopping at its
+    first term below 1e-17 of its sum; all terms are positive, so there is no
+    cancellation and the series is accurate over the supported range
     x in [0, ~700] (it overflows with the function itself beyond that).
     """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"bessel_i0 requires x >= 0, got {x}")
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
+        raise ValueError(f"bessel_i0 requires x >= 0, got {x[x < 0.0].flat[0]}")
+    q = (0.25 * x * x).ravel()
+    ones = np.ones_like(q)
+    return _as_result(_converge(_i0_step, ones, ones.copy(), q).reshape(x.shape))
+
+
+def _k0_series(x: np.ndarray) -> np.ndarray:
+    """K0 = -(ln(x/2) + gamma_E) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2, x <= 2."""
+    harmonic = 0.0
+
+    def step(k, acc, term, q):
+        nonlocal harmonic
+        harmonic += 1.0 / k
+        term = term * (q / (k * k))
+        inc = term * harmonic
+        acc = acc + inc
+        return inc <= 1e-17 * (np.abs(acc) + 1.0), acc, term, q
+
     q = 0.25 * x * x
-    term = 1.0
-    acc = 1.0
-    for k in range(1, _MAX_TERMS):
-        term *= q / (k * k)
-        acc += term
-        if term <= 1e-17 * acc:
-            break
-    return acc
+    acc = _converge(step, np.zeros_like(x), np.ones_like(x), q)
+    return -(np.log(0.5 * x) + EULER_GAMMA) * bessel_i0(x) + acc
 
 
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function of the second kind, order 0.
+def _k0_steed(x: np.ndarray) -> np.ndarray:
+    """K0 for x > 2 from Steed's continued fraction for exp(x) K0(x)."""
+    a = -0.25
+    c = 0.25
 
-    Ascending log series for x <= 2, Steed/Lentz continued fraction for the
-    exponentially scaled function above.  K0 diverges logarithmically at 0,
-    so non-positive arguments are rejected.
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"bessel_k0 requires x > 0, got {x}")
-    if x <= 2.0:
-        # K0 = -(ln(x/2) + gamma_E) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2
-        q = 0.25 * x * x
-        term = 1.0
-        harmonic = 0.0
-        acc = 0.0
-        for k in range(1, _MAX_TERMS):
-            term *= q / (k * k)
-            harmonic += 1.0 / k
-            inc = term * harmonic
-            acc += inc
-            if inc <= 1e-17 * (abs(acc) + 1.0):
-                break
-        return -(math.log(0.5 * x) + EULER_GAMMA) * bessel_i0(x) + acc
-    if x > 705.0:
-        return 0.0  # underflow of exp(-x); function value < 1e-306
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _MAX_TERMS):
+    def step(k, s, b, d, delh, q1, q2, q):
+        nonlocal a, c
+        i = k + 1
         a -= 2 * (i - 1)
         c = -a * c / i
         qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
+        q = q + c * qnew
+        b = b + 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
-        h += delh
         dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+        s = s + dels
+        # NaN stops at once: its sum stays NaN
+        return ~(np.abs(dels / s) >= 1e-16), s, b, d, delh, q2, qnew, q
+
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    q = np.full_like(x, c)
+    s = _converge(step, 1.0 + q * d, b, d, d, np.zeros_like(x), np.ones_like(x), q)
+    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / s
+
+
+def bessel_k0(x):
+    """Modified Bessel function of the second kind, order 0; a float for
+    scalar input, else an array.
+
+    Ascending log series for x <= 2, Steed/Lentz continued fraction for the
+    exponentially scaled function above, each element stopping at its own
+    term; 0 above 705, where exp(-x) underflows.  K0 diverges
+    logarithmically at 0, so non-positive arguments are rejected.
+    """
+    x = np.asarray(x, dtype=float)
+    if (x <= 0.0).any():
+        raise ValueError(f"bessel_k0 requires x > 0, got {x[x <= 0.0].flat[0]}")
+    flat = x.ravel()
+    out = np.zeros_like(flat)  # underflow of exp(-x) above 705; K0 < 1e-306
+    series = flat <= 2.0
+    out[series] = _k0_series(flat[series])
+    cf = ~series & ~(flat > 705.0)  # NaN goes here and stays NaN
+    out[cf] = _k0_steed(flat[cf])
+    return _as_result(out.reshape(x.shape))
+
+
+def _erfc_lentz_step(k, f, c, d, x):
+    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))));
+    # for x > 2 every partial denominator is positive, so none vanishes
+    a = 0.5 * k
+    d = 1.0 / (x + a * d)
+    c = x + a / c
+    delta = c * d
+    return np.abs(delta - 1.0) < 1e-16, f * delta, c, d, x
 
 
 def erf(x):
@@ -116,8 +171,9 @@ def erf(x):
 
     Maclaurin series for |x| <= 2 (cancellation amplifies roundoff by at most
     exp(4)), run on the whole array until every element's last term is below
-    1e-17 of its sum; Lentz continued fraction for the complement above,
-    element by element.  erf(+-inf) is +-1 and erf(NaN) is NaN.
+    1e-17 of its sum; Lentz continued fraction for the complement above, each
+    element stopping at its first step within 1e-16 of 1.  erf(+-inf) is +-1
+    and erf(NaN) is NaN.
     """
     arr = np.asarray(x, dtype=float)
     ax = np.abs(arr).ravel()
@@ -139,37 +195,13 @@ def erf(x):
         if (inc <= 1e-17 * np.abs(acc)).all():
             break
     acc *= 2.0 / math.sqrt(math.pi)
-    tail = np.flatnonzero(~series)
-    acc[tail] = [_erf_cf(v) for v in ax[tail].tolist()]
-    out = np.where(arr < 0.0, -acc.reshape(arr.shape), acc.reshape(arr.shape))
-    return float(out) if out.ndim == 0 else out
-
-
-def _erf_cf(x: float) -> float:
-    """erf(x) for x > 2 from the Lentz continued fraction of erfc; 1 at
-    infinity and NaN for NaN, where the fraction would not converge."""
-    if not math.isfinite(x):  # +inf (x is a modulus) or NaN
-        return 1.0 if x > 0.0 else x
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    f = x
-    c = x
-    d = 0.0
-    tiny = 1e-300
-    for n in range(1, _MAX_TERMS):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    erfc = math.exp(-x * x) / math.sqrt(math.pi) / f
-    return 1.0 - erfc
+    tail = ~series
+    acc[tail] = np.minimum(ax[tail], 1.0)  # erf(inf) = 1; NaN stays NaN
+    tail &= np.isfinite(ax)
+    xt = ax[tail]
+    f = _converge(_erfc_lentz_step, xt, xt, np.zeros_like(xt), xt)
+    acc[tail] = 1.0 - np.exp(-xt * xt) / math.sqrt(math.pi) / f
+    return _as_result(np.where(arr < 0.0, -acc.reshape(arr.shape), acc.reshape(arr.shape)))
 
 
 def lower_incomplete_gamma(a: float, z: float) -> float:

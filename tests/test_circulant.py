@@ -256,6 +256,24 @@ class TestSpacingLaws:
         for pdf in (circulant.pdf_cc, circulant.pdf_rc, circulant.pdf_generic):
             with pytest.raises(ValueError):
                 pdf(-0.1)
+            with pytest.raises(ValueError):
+                pdf(np.array([[0.5, 1.0], [-0.1, 2.0]]))
+
+    @pytest.mark.parametrize(
+        "pdf", [circulant.pdf_cc, circulant.pdf_rc, circulant.pdf_generic],
+        ids=["cc", "rc", "generic"],
+    )
+    def test_array_input(self, pdf):
+        z = np.array([[0.0, 0.3, 1.0, 2.5], [7.0, 34.0, 35.0, 50.0]])  # rc scaled I0 switches near 34.4
+        got = pdf(z)
+        assert got.shape == z.shape
+        assert got.ravel().tolist() == [pdf(float(v)) for v in z.ravel()]
+        assert isinstance(pdf(1.0), float)
+
+    def test_rc_matches_scalar_oracle(self):
+        z = np.linspace(0.0, 12.0, 241)
+        want = np.array([oracles.rc_density(float(v)) for v in z])
+        np.testing.assert_allclose(circulant.pdf_rc(z), want, rtol=1e-13, atol=1e-300)
 
 
 class TestDiagonalization:

@@ -75,10 +75,12 @@ class TestSpacingCyclic:
         cc = [line for line in lines if line.startswith("spacing_cc:")]
         assert len(cc) == 1 and cc[0].endswith("[ref]")
 
-    @pytest.mark.parametrize("scale", ["1e-6", "1e-9", "1e-12"])
+    @pytest.mark.parametrize("scale", ["1e-6", "1e-9", "1e-12", "1e-170", "1e-200", "1e-300"])
     def test_gaussian_blocks_are_scale_free(self, tmp_path, scale):
-        # the pairing tolerance is relative, so shrinking every block entry
-        # moves no eigenvalue between the classes
+        # the pairing tolerance is relative and each 2x2 eigensolve is scaled
+        # by a power of two, so shrinking every block entry moves no
+        # eigenvalue between the classes, even where the unscaled products in
+        # the discriminant would underflow (below about 1e-160)
         def reports(block_scale):
             out = tmp_path / block_scale
             assert run(
@@ -228,8 +230,13 @@ class TestBadArguments:
             # the block sums overflow, so the pairing refuses the non-finite rows
             (["spacing-cyclic", "--n", "5", "--count", "200", "--blocks", "gaussian",
               "--block-scale", "1e308"], "spectrum row", "--block-scale"),
-            (["spacing2x2", "--family", "f2", "--count", "2000", "--sigma", "1e200"],
-             "f2 spacings", "--sigma"),
+            # b c overflows, so the f1 spacings are infinite
+            (["spacing2x2", "--family", "f1", "--count", "2000", "--sigma", "1e200"],
+             "f1 spacings", "--sigma"),
+            # f2 spacings are finite here, but count times the bin width is
+            # not, so the densities would all be 0
+            (["spacing2x2", "--family", "f2", "--count", "2000", "--sigma", "1e307"],
+             "f2 histogram bins", "--sigma"),
             # bins 8 sigma / 50 wide are subnormal, so the densities overflow
             (["spacing2x2", "--family", "f2", "--count", "100", "--sigma", "1e-320"],
              "f2 histogram bins", "--sigma"),
@@ -247,11 +254,12 @@ class TestBadArguments:
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",
               "--block-scale", "1e-150", "--class", "cc"],
              "no cc, rc or generic spacings", "--block-scale"),
-            # Gaussian draws underflow, which leaves ties the pairing refuses
+            # Gaussian draws are subnormal, which leaves ties the pairing refuses
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
-              "--block-scale", "1e-200"], "spectrum row", "--block-scale"),
+              "--block-scale", "1e-320"], "spectrum row", "--block-scale"),
         ],
-        ids=["weight", "block-scale", "sigma", "sigma-subnormal-bins", "f1-bc-underflow-200",
+        ids=["weight", "block-scale", "sigma", "sigma-wide-bins", "sigma-subnormal-bins",
+             "f1-bc-underflow-200",
              "f1-bc-underflow-300", "block-scale-all-real", "block-scale-all-real-cc",
              "block-scale-underflow"],
     )

@@ -138,6 +138,19 @@ class TestBatched:
         with pytest.raises(ValueError):
             p2.eigenvalues2(np.zeros((4, 3, 2)))
 
+    @pytest.mark.parametrize("tag", list(FamilyTag), ids=lambda tag: tag.value)
+    @pytest.mark.parametrize("power", [-560, -900, 600])
+    def test_scaling_by_a_power_of_two_is_exact(self, tag, power):
+        # the discriminant's products would underflow (2^-560, 2^-900) or
+        # overflow (2^600); each matrix is solved at the scale of its largest
+        # entry, so the eigenvalues scale exactly
+        fam = Family2x2(tag, epsilon=0.37)
+        stack = p2.family_matrix(fam, **p2.sample_params(fam, 1.3, 200, np.random.default_rng(4)))
+        scaled = p2.eigenvalues2(np.ldexp(stack.real, power) + 1j * np.ldexp(stack.imag, power))
+        for got, want in zip(scaled, p2.eigenvalues2(stack)):
+            assert got.real.tobytes() == np.ldexp(want.real, power).tobytes()
+            assert got.imag.tobytes() == np.ldexp(want.imag, power).tobytes()
+
 
 class TestSampling:
     def test_f1_zero_params_is_zero_matrix(self):
@@ -246,6 +259,17 @@ class TestF1SpacingLaw:
     def test_pdf_at_zero(self):
         assert p2.spacing_pdf_f1(0.0, 1.0) == 0.0
         assert p2.spacing_pdf_f1(0.0, 0.3) == 0.0
+
+    def test_pdf_array_input(self):
+        s = np.array([[0.0, 1e-6, 0.5, 2.0], [2.9, 10.0, 53.0, 60.0]])  # K0 switches at s = 2 sqrt(2)
+        got = p2.spacing_pdf_f1(s, 1.0)
+        assert got.shape == s.shape
+        assert got.ravel().tolist() == [p2.spacing_pdf_f1(float(v), 1.0) for v in s.ravel()]
+        want = np.array([oracles.f1_density(float(v)) for v in s.ravel()])
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+        assert isinstance(p2.spacing_pdf_f1(1.0, 1.0), float)
+        with pytest.raises(ValueError, match="nonnegative"):
+            p2.spacing_pdf_f1(np.array([0.5, -1e-3, 2.0]), 1.0)
 
     def test_pdf_normalization(self):
         val, _ = integrate.quad(lambda s: p2.spacing_pdf_f1(s, 1.0), 0.0, 60.0, limit=300)

@@ -152,6 +152,79 @@ class TestErfArray:
         assert grid.ravel().tobytes() == specfun.erf(self.X).tobytes()
 
 
+class TestErfTail:
+    """The continued-fraction tail runs on the whole array, each element
+    stopping at its own term."""
+
+    def test_matches_scalar_fraction_within_one_ulp(self):
+        # np.exp and math.exp may round exp(-x^2) apart by one ulp, which
+        # moves erf by at most one ulp; 2.372895307660252 is such a point
+        rng = np.random.default_rng(11)
+        x = np.concatenate(
+            [[np.nextafter(2.0, 3.0), 2.372895307660252, 6.0, 40.0], rng.uniform(2.0, 40.0, 20_000)]
+        )
+        want = np.array([oracles.erf_cf(float(v)) for v in x])
+        got = specfun.erf(x)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+        assert np.all(specfun.erf(-x) == -got)
+
+
+class TestBesselArrays:
+    """Array I0 and K0 against their scalar loops, element for element, and
+    against scipy."""
+
+    # both sides of the K0 series/fraction switch at 2, the switch of the
+    # scaled I0 in the rc law at 600 and the K0 underflow at 705
+    EDGES = np.concatenate(
+        [[np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)] for b in (2.0, 600.0, 705.0)]
+    )
+    X = np.concatenate([EDGES, [1e-300, 1e-8, 0.3, 1.0, 7.5, 50.0, 300.0], np.logspace(-6, 2.8, 300)])
+
+    def test_i0_matches_scalar_loop_bit_for_bit(self):
+        x = np.concatenate([[0.0], self.X])
+        want = np.array([oracles.scalar_loop_i0(float(v)) for v in x])
+        assert specfun.bessel_i0(x).tobytes() == want.tobytes()
+
+    def test_k0_matches_scalar_loop(self):
+        # only np.log and np.exp against math.log and math.exp differ, by an
+        # ulp, which the cancellation in the x <= 2 series amplifies
+        want = np.array([oracles.scalar_loop_k0(float(v)) for v in self.X])
+        got = specfun.bessel_k0(self.X)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert got[self.X > 705.0].tolist() == [0.0]
+
+    def test_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = self.X[self.X <= 700.0]  # K0 is subnormal from about 704
+        np.testing.assert_allclose(specfun.bessel_i0(x), special.i0(x), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(specfun.bessel_k0(x), special.k0(x), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fn", [specfun.bessel_i0, specfun.bessel_k0], ids=["i0", "k0"])
+    def test_shape_and_scalar_type(self, fn):
+        assert isinstance(fn(1.5), float)
+        assert isinstance(fn(np.float64(3.0)), float)
+        assert fn(np.ones((2, 0))).shape == (2, 0)
+        grid = fn(self.X[:12].reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert grid.ravel().tolist() == [fn(float(v)) for v in self.X[:12]]
+
+    @pytest.mark.parametrize(
+        "fn, bad", [(specfun.bessel_i0, -0.5), (specfun.bessel_k0, 0.0), (specfun.bessel_k0, -1.0)]
+    )
+    def test_one_bad_element_raises(self, fn, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            fn(np.array([[1.0, 2.0], [bad, 3.0]]))
+
+    def test_non_finite_input_returns_at_once(self):
+        x = np.tile([math.inf, math.nan], 500)
+        t0 = time.perf_counter()
+        i0 = specfun.bessel_i0(x)
+        k0 = specfun.bessel_k0(x)
+        assert time.perf_counter() - t0 < 0.5
+        assert i0[0] == math.inf and k0[0] == 0.0
+        assert np.isnan(i0[1]) and np.isnan(k0[1])
+
+
 class TestLowerIncompleteGamma:
     def test_a_one_closed_form(self):
         for z in np.linspace(0.0, 10.0, 41):

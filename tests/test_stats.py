@@ -230,9 +230,34 @@ class TestSortedPassMatchesOracles:
 
 
 class TestQuadratureAndCdfs:
+    @pytest.mark.parametrize("law", ["rc", "f1"])
+    def test_grid_matches_simpson_oracle(self, law):
+        # one Gauss-Legendre pass against one adaptive Simpson integral per
+        # interval of the scalar density oracle; f1's density behaves like
+        # s ln(1/s) at 0, which an ungraded first interval misses by 1e-9
+        if law == "rc":
+            got, ref = stats._rc_grid(), oracles.simpson_cdf_grid(oracles.rc_density, 12.0, 2048)
+        else:
+            got = pseudo2x2._f1_grid()
+            ref = oracles.simpson_cdf_grid(oracles.f1_density, 25.0, 4096)
+        assert got.grid.size == ref.size
+        assert np.max(np.abs(got.values - ref)) <= 1e-12
+
+    def test_grid_calls_the_density_on_slices(self):
+        sizes = []
+
+        def pdf(x):
+            sizes.append(x.size)
+            return circulant.pdf_rc(x)
+
+        grid = stats.GridCdf(pdf, hi=12.0)
+        nodes = (2048 + stats._GRADED) * 8
+        assert sizes == [stats._GRID_SLICE] * (nodes // stats._GRID_SLICE) + [nodes % stats._GRID_SLICE]
+        assert grid.values.tobytes() == stats._rc_grid().values.tobytes()
+
     def test_adaptive_simpson_known_integrals(self):
-        assert stats.adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-10)
-        assert stats.adaptive_simpson(lambda t: math.exp(-t), 0.0, 50.0) == pytest.approx(
+        assert oracles.adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-10)
+        assert oracles.adaptive_simpson(lambda t: math.exp(-t), 0.0, 50.0) == pytest.approx(
             1.0, rel=1e-10
         )
 
