@@ -186,17 +186,12 @@ def _histogram_csv(values: np.ndarray, bins: int, hi: float, analytic_pdf=None) 
 # spacing2x2
 # ---------------------------------------------------------------------------
 
-_FAMILY_BY_NAME = {tag.value: tag for tag in pseudo2x2.FamilyTag}
-
-
 def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
+    tag = pseudo2x2.FamilyTag(args.family)
     try:
-        tag = _FAMILY_BY_NAME[args.family]
-    except KeyError:
-        raise UsageError(
-            f"unknown family {args.family!r}; choose from {sorted(_FAMILY_BY_NAME)}"
-        )
-    family = pseudo2x2.Family2x2(tag, epsilon=args.epsilon)
+        family = pseudo2x2.Family2x2(tag, epsilon=args.epsilon)
+    except ValueError as exc:
+        raise UsageError(f"{exc}; --epsilon is out of range")
     # the densities divide by the bin widths, which overflows once a width is
     # subnormal, and by the count times the width, which must stay finite
     width = 8.0 * args.sigma / args.bins
@@ -329,7 +324,8 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_walk_config_file(path: Path) -> dict:
+def _read_walk_config(path: Path) -> dict[str, str]:
+    """The ``key = value`` lines of a walk config file, as strings."""
     if not path.exists():
         raise UsageError(f"config file {path} does not exist")
     values: dict = {}
@@ -341,58 +337,28 @@ def _parse_walk_config_file(path: Path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        val = val.strip()
-        try:
-            if key == "sites":
-                values["sites"] = int(val)
-            elif key in ("w", "p"):
-                values[key] = float(val)
-            elif key == "start":
-                values["start"] = int(val)
-            elif key == "row":
-                values["row"] = [float(tok) for tok in val.split(",") if tok.strip()]
-            else:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}")
+        if key not in ("sites", "w", "p", "row", "start"):
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
 
 
-def _walk_config_from(args) -> tuple[walk.WalkConfig, int]:
-    values: dict = {}
-    if args.config:
-        values = _parse_walk_config_file(Path(args.config))
-    if args.sites is not None:
-        values["sites"] = args.sites
-    if args.w is not None:
-        values["w"] = args.w
-    if args.p is not None:
-        values["p"] = args.p
-    if args.row is not None:
-        values["row"] = [float(tok) for tok in args.row.split(",") if tok.strip()]
-    if args.start is not None:
-        values["start"] = args.start
-    start = values.get("start", 0)
+def _walk_config_from(args) -> walk.WalkConfig:
     try:
-        if "row" in values:
-            row = np.asarray(values["row"], dtype=float)
-            cfg = walk.WalkConfig(n_sites=row.size, row=row)
-        elif "sites" in values:
-            cfg = walk.WalkConfig(
-                n_sites=values["sites"], w=values.get("w"), p=values.get("p")
-            )
-        else:
-            raise UsageError("walk needs a hop row or a site count with w and p")
+        if args.row is not None:
+            return walk.WalkConfig([float(tok) for tok in args.row.split(",") if tok.strip()])
+        if None not in (args.sites, args.w, args.p):
+            return walk.WalkConfig.ring(args.sites, args.w, args.p)
     except ValueError as exc:
         raise UsageError(f"invalid walk configuration: {exc}")
-    if not 0 <= start < cfg.n_sites:
-        raise UsageError(f"start site {start} outside 0..{cfg.n_sites - 1}")
-    return cfg, start
+    raise UsageError("walk needs a hop row or a site count with w and p")
 
 
 def cmd_walk(args) -> tuple[dict[str, str], list[stats.GofReport]]:
-    cfg, start = _walk_config_from(args)
-    state0 = walk.WalkState.delta(cfg.n_sites, start)
+    cfg = _walk_config_from(args)
+    if not 0 <= args.start < cfg.n_sites:
+        raise UsageError(f"start site {args.start} outside 0..{cfg.n_sites - 1}")
+    state0 = walk.WalkState.delta(cfg.n_sites, args.start)
     ts = np.arange(args.t_max + 1)
     ent = np.empty(ts.size)
     dev = np.empty(ts.size)
@@ -460,10 +426,11 @@ def _replay_args(args) -> argparse.Namespace:
     # re-parse the recorded options, so a replay meets the same argument
     # checks as the original command line before anything is sampled
     parser = _build_parser()
-    flags = _option_flags(parser, command)
+    options = _subparser(parser, command)._actions
+    flags = {a.dest: a.option_strings[0] for a in options if a.option_strings}
     argv = [command]
     argv += [f"{flags[k]}={v}" for k, v in params.items() if k in flags and v is not None]
-    return parser.parse_args(argv)
+    return _parse_args(parser, argv)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +446,20 @@ def _params_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _option_flags(parser: argparse.ArgumentParser, command: str) -> dict[str, str]:
-    """Option string of each of ``command``'s options, keyed by its dest."""
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {
-        a.dest: a.option_strings[0]
-        for a in subparsers.choices[command]._actions
-        if a.option_strings
-    }
+    return subparsers.choices[command]
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse a command line.  With a walk ``--config`` file, its values
+    become the walk options' defaults and the line is parsed again, so they
+    meet each flag's own type and the flags given override them."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        _subparser(parser, "walk").set_defaults(**_read_walk_config(Path(args.config)))
+        args = parser.parse_args(argv)
+    return args
 
 
 class _Parser(argparse.ArgumentParser):
@@ -550,7 +523,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spacing2x2", help="2x2 family level-spacing run")
-    sp.add_argument("--family", required=True, help="f1 | f2 | f3 | f4 | f5")
+    sp.add_argument(
+        "--family",
+        required=True,
+        choices=[tag.value for tag in pseudo2x2.FamilyTag],
+        help="2x2 family",
+    )
     sp.add_argument("--sigma", type=_positive_float, default=1.0, help="ensemble width")
     sp.add_argument("--epsilon", type=_positive_float, default=1.0, help="f3 scaling parameter")
     sp.add_argument("--count", type=_int_at_least(1), required=True, help="number of draws")
@@ -592,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w", type=float, help="jump probability")
     sp.add_argument("--p", type=float, help="right-bias probability")
     sp.add_argument("--row", help="comma-separated hop row (overrides sites/w/p)")
-    sp.add_argument("--start", type=int, help="delta-start site (default 0)")
+    sp.add_argument("--start", type=int, default=0, help="delta-start site")
     sp.add_argument("--t-max", type=_int_at_least(0), default=400, help="final time step")
     _add_common(sp)
     sp.set_defaults(func=cmd_walk)
@@ -642,9 +620,8 @@ def _dispatch(args) -> list[stats.GofReport]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(_build_parser(), argv)
         reports = _dispatch(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,12 +33,13 @@ import cmath
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circulant import _spacings
-from .specfun import _as_result, bessel_k0
+from .specfun import EULER_GAMMA, _as_result, bessel_k0
 from .stats import GridCdf
 
 __all__ = [
@@ -73,8 +74,13 @@ class Family2x2:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a finite number > 0, got {self.epsilon!r}")
+        e = self.epsilon
+        # F3's c width divides by e^2 + 1/e^2, so e^2 must neither underflow
+        # nor overflow
+        if not (e > 0 and sys.float_info.min <= e * e < math.inf):
+            raise ValueError(
+                f"epsilon must be > 0 and its square a finite normal float, got {e!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,14 @@ def spacing_pdf_f1(s, sigma: float):
     out = np.zeros_like(s)
     pos = s != 0.0
     sp = s[pos]
-    out[pos] = sp / (math.pi * sigma * sigma) * bessel_k0(sp * sp / (4.0 * sigma * sigma))
+    x = sp * sp / (4.0 * sigma * sigma)
+    # below the smallest normal float x has lost digits or is 0; there K0 is
+    # -ln(x/2) - gamma_E to far below an ulp, with ln(x/2) formed from s
+    small = x < sys.float_info.min
+    k0 = np.empty_like(x)
+    k0[~small] = bessel_k0(x[~small])
+    k0[small] = -2.0 * np.log(sp[small] / (2.0 * math.sqrt(2.0) * sigma)) - EULER_GAMMA
+    out[pos] = sp / (math.pi * sigma * sigma) * k0
     return _as_result(out)
 
 

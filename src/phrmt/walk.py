@@ -26,7 +26,7 @@ theta = 0 (real-axis) angular mode from the otherwise uniform phase density.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -57,50 +57,46 @@ DECAY_NORM = 1.0 / (erf(math.sqrt(math.pi) / 2.0) - math.exp(-math.pi / 4.0))
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Ring walk configuration: either (n_sites, w, p) or a general hop row.
+    """Ring walk configuration: a hop row, stored read-only.
 
     The hop row lists the probability of staying (entry 0) and of hopping
     +k sites (entry k, cyclically); it must be nonnegative and sum to 1.
+    ``ring`` builds the nearest-neighbour row from (n_sites, w, p).
     """
 
-    n_sites: int
-    w: float | None = None
-    p: float | None = None
-    row: np.ndarray | None = None
+    row: np.ndarray
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("need at least 2 sites")
-        if self.row is not None:
-            row = np.ascontiguousarray(self.row, dtype=float)
-            if row.size != self.n_sites:
-                raise ValueError("hop row length must equal n_sites")
-            # NaN fails no comparison, so it must be caught before them
-            if not np.isfinite(row).all():
-                raise ValueError("hop probabilities must be finite")
-            if row.min() < 0:
-                raise ValueError("hop probabilities must be nonnegative")
-            if abs(row.sum() - 1.0) > _PROB_TOL:
-                raise ValueError(f"hop row must sum to 1, got {row.sum()!r}")
-            object.__setattr__(self, "row", row)
-        else:
-            if self.w is None or self.p is None:
-                raise ValueError("give either a hop row or both w and p")
-            if not 0.0 <= self.w <= 1.0:
-                raise ValueError("jump probability w must lie in [0, 1]")
-            if not 0.0 <= self.p <= 1.0:
-                raise ValueError("bias p must lie in [0, 1]")
+        row = np.array(self.row, dtype=float)
+        if row.ndim != 1 or row.size < 2:
+            raise ValueError("need a hop row of at least 2 sites")
+        # NaN fails no comparison, so it must be caught before them
+        if not np.isfinite(row).all():
+            raise ValueError("hop probabilities must be finite")
+        if row.min() < 0:
+            raise ValueError("hop probabilities must be nonnegative")
+        if abs(row.sum() - 1.0) > _PROB_TOL:
+            raise ValueError(f"hop row must sum to 1, got {row.sum()!r}")
+        row.flags.writeable = False
+        object.__setattr__(self, "row", row)
 
-    def hop_row(self) -> np.ndarray:
-        if self.row is not None:
-            return self.row.copy()
-        n = self.n_sites
-        row = np.zeros(n)
-        row[0] = 1.0 - self.w
+    @property
+    def n_sites(self) -> int:
+        return self.row.size
+
+    @classmethod
+    def ring(cls, n_sites: int, w: float, p: float) -> "WalkConfig":
+        """Nearest-neighbour ring: stay 1-w, hop right pw, hop left (1-p)w."""
+        if not 0.0 <= w <= 1.0:
+            raise ValueError("jump probability w must lie in [0, 1]")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("bias p must lie in [0, 1]")
+        row = np.zeros(n_sites)
+        row[0] = 1.0 - w
         # += so the degenerate n == 2 ring folds pw and qw onto one neighbour
-        row[1 % n] += self.p * self.w
-        row[(n - 1) % n] += (1.0 - self.p) * self.w
-        return row
+        row[1 % n_sites] += p * w
+        row[-1] += (1.0 - p) * w
+        return cls(row)
 
 
 @dataclass(frozen=True)
@@ -136,15 +132,17 @@ class WalkState:
 
 
 def evolve_spectral(
-    cfg: WalkConfig, p0: WalkState, t: int | Sequence[int]
-) -> WalkState | list[WalkState]:
-    """State after t steps, computed in the Fourier eigenbasis.
+    cfg: WalkConfig, p0: WalkState, steps: Iterable[int]
+) -> Iterator[WalkState]:
+    """States after each of ``steps`` steps, in order, computed in the
+    Fourier eigenbasis.
 
     Exact for circulant transition matrices (they are all diagonal in the
     same unitary basis, normal or not); matches repeated matrix
-    multiplication to near roundoff.  Given a sequence of step counts, the
-    modes and start coefficients are built once and one state is returned
-    per entry, in order.
+    multiplication to near roundoff.  The arguments are checked and the
+    modes and start coefficients built at the call; each state is computed
+    as the returned iterator reaches it, so a caller that keeps one state
+    at a time holds one length-N state, whatever the number of steps.
 
     Evolved occupations may lie below zero by round-off that may grow with
     the ring size (each transform sums N terms) and, for unit-modulus modes,
@@ -152,26 +150,24 @@ def evolve_spectral(
     a tolerance in proportion to N + t rather than the fixed one for states
     a caller builds.
     """
-    single = np.ndim(t) == 0
-    steps = [int(s) for s in np.atleast_1d(t)]
+    steps = [int(s) for s in steps]
     if min(steps, default=0) < 0:
         raise ValueError("time must be nonnegative")
     if p0.probs.size != cfg.n_sites:
         raise ValueError("state size does not match the configuration")
     n = cfg.n_sites
-    lam = fourier(cfg.hop_row())  # transition-matrix eigenvalues, in mode order
+    lam = fourier(cfg.row)  # transition-matrix eigenvalues, in mode order
     # start coefficients in the Fourier basis exp(2 pi i k j / N), up to the
     # 1/N that the transform back applies
     coeff = np.conj(fourier(p0.probs))
-    states = []
-    for s in steps:
+
+    def state(s: int) -> WalkState:
         if s == 0:
-            states.append(p0)  # identity power, exactly
-            continue
+            return p0  # identity power, exactly
         probs = fourier(lam**s * coeff).real / n
-        roundoff = _SPECTRAL_ROUNDOFF * (n + s)
-        states.append(WalkState(t=p0.t + s, probs=probs, roundoff=roundoff))
-    return states[0] if single else states
+        return WalkState(t=p0.t + s, probs=probs, roundoff=_SPECTRAL_ROUNDOFF * (n + s))
+
+    return map(state, steps)
 
 
 def entropy(state: WalkState) -> float:
@@ -186,7 +182,7 @@ def spectral_gap_mixing_time(cfg: WalkConfig, target: float = 1e-8) -> int:
     Uses the second-largest eigenvalue modulus; raises for periodic or
     decoupled rings (no spectral gap), where the walk never mixes.
     """
-    lam = fourier(cfg.hop_row())
+    lam = fourier(cfg.row)
     moduli = np.sort(np.abs(lam))
     second = moduli[-2]
     if second >= 1.0 - 1e-15:
@@ -277,10 +273,10 @@ def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
 
 def rmt_decay_monte_carlo(
     n: int,
-    t: int | Sequence[int],
+    steps: Sequence[int],
     realizations: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> tuple[float, float] | list[tuple[float, float]]:
+    rngs: Sequence[np.random.Generator],
+) -> list[tuple[float, float]]:
     """Monte Carlo estimate (mean, standard error) of the scaled decay law.
 
     Each realization draws N-1 synthetic eigenvalues: moduli from the
@@ -297,15 +293,13 @@ def rmt_decay_monte_carlo(
     these real parts, so this equals the real part of sum lambda^t to
     round-off, without forming any complex power.
 
-    Given a sequence of steps and a sequence of generators, one per step,
-    one (mean, stderr) is returned per step, in order, each equal to the
-    call for that step alone.  The scratch (about 3.5 realizations (N-1)
+    Each step draws from its own generator in ``rngs``; one (mean, stderr)
+    is returned per step, in order, each equal to the call for that step
+    alone.  The scratch (about 3.5 realizations (N-1)
     floats) is allocated once per call and reused on every step; the
     phases, powers and row sums run over slices of ``_SLICE`` values.
     """
-    single = np.ndim(t) == 0
-    steps = [int(s) for s in np.atleast_1d(t)]
-    rngs = [rng] if single else list(rng)
+    steps = [int(s) for s in steps]
     if n < 3:
         raise ValueError("need at least 3 sites")
     if realizations < 1:
@@ -339,4 +333,4 @@ def rmt_decay_monte_carlo(
         mean = float(est.mean())
         stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
         results.append((mean, stderr))
-    return results[0] if single else results
+    return results

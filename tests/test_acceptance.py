@@ -163,16 +163,15 @@ def test_criterion_7_structural_identities():
 
 
 def test_criterion_8_entropy_saturation():
-    cfg = WalkConfig(n_sites=22, w=0.8, p=0.3)
+    cfg = WalkConfig.ring(22, 0.8, 0.3)
     start = WalkState.delta(22, 0)
     t_star = walk.spectral_gap_mixing_time(cfg, target=1e-5)
     log_n = math.log(22.0)
     worst_gap = 0.0
     worst_sum = 0.0
-    for t in range(0, t_star + 301):
-        state = walk.evolve_spectral(cfg, start, t)
+    for state in walk.evolve_spectral(cfg, start, range(0, t_star + 301)):
         worst_sum = max(worst_sum, abs(float(state.probs.sum()) - 1.0))
-        if t >= t_star:
+        if state.t >= t_star:
             worst_gap = max(worst_gap, abs(walk.entropy(state) - log_n))
     ok = worst_gap < 1e-6 and worst_sum <= 1e-12
     record_criterion(

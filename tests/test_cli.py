@@ -210,6 +210,7 @@ class TestBadArguments:
              "--ks-threshold"),
             (["spacing2x2", "--family", "f1", "--count", "10", "--ks-threshold", "-0.1"],
              "--ks-threshold"),
+            (["spacing2x2", "--family", "f9", "--count", "10"], "--family"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):
@@ -257,11 +258,16 @@ class TestBadArguments:
             # Gaussian draws are subnormal, which leaves ties the pairing refuses
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
               "--block-scale", "1e-320"], "spectrum row", "--block-scale"),
+            # f3's c width divides by e^2 + 1/e^2, which e^2 = 0 or inf breaks
+            (["spacing2x2", "--family", "f3", "--count", "20", "--epsilon", "1e-200"],
+             "its square", "--epsilon"),
+            (["spacing2x2", "--family", "f3", "--count", "20", "--epsilon", "1e200"],
+             "its square", "--epsilon"),
         ],
         ids=["weight", "block-scale", "sigma", "sigma-wide-bins", "sigma-subnormal-bins",
              "f1-bc-underflow-200",
              "f1-bc-underflow-300", "block-scale-all-real", "block-scale-all-real-cc",
-             "block-scale-underflow"],
+             "block-scale-underflow", "epsilon-underflow", "epsilon-overflow"],
     )
     def test_spacings_out_of_range_exit_2(self, tmp_path, capsys, argv, what, flag):
         # the values or bins are found unusable: no file may be written
@@ -429,11 +435,6 @@ class TestSpacing2x2:
         assert err.count("\n") == 1 and "bc > 0" in err
         assert not out.exists()
 
-    def test_unknown_family_usage_error(self, tmp_path):
-        assert run(
-            "spacing2x2", "--family", "f9", "--count", "10", "--out", str(tmp_path / "z")
-        ) == cli.EXIT_USAGE
-
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker.txt"
         blocker.write_text("")
@@ -509,6 +510,43 @@ class TestWalkCommand:
         cfgfile.write_text("sites 22\n")
         code = run("walk", "--config", str(cfgfile), "--out", str(tmp_path / "c"))
         assert code == cli.EXIT_USAGE
+
+    def test_unknown_config_key_names_the_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("sites = 22\nsteps = 3\n")
+        code = run("walk", "--config", str(cfgfile), "--out", str(tmp_path / "c"))
+        assert code == cli.EXIT_USAGE
+        assert f"{cfgfile}:2: unknown key 'steps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flag",
+        [("sites = 1\nw = 0.5\np = 0.5\n", "--sites"), ("sites = 5\nw = high\np = 0.5\n", "--w")],
+        ids=["sites", "w"],
+    )
+    def test_bad_config_value_names_the_flag(self, tmp_path, capsys, text, flag):
+        # file values are the walk options' defaults, so argparse checks them
+        # with each flag's own type
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            run("walk", "--config", str(cfgfile), "--out", str(out))
+        assert exc.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"argument {flag}:" in err
+        assert not out.exists()
+
+    def test_config_run_equals_flag_run_and_records_its_values(self, tmp_path):
+        cfgfile = tmp_path / "ring.cfg"
+        cfgfile.write_text("sites = 22\nw = 0.8\np = 0.3\nstart = 4\n")
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        argv = ["--sites", "22", "--w", "0.8", "--p", "0.3", "--start", "4"]
+        assert run("walk", *argv, "--t-max", "60", "--out", str(by_flags)) == cli.EXIT_OK
+        argv = ["--config", str(cfgfile)]
+        assert run("walk", *argv, "--t-max", "60", "--out", str(by_file)) == cli.EXIT_OK
+        assert (by_file / "walk.csv").read_bytes() == (by_flags / "walk.csv").read_bytes()
+        params = json.loads((by_file / "manifest.json").read_text())["params"]
+        assert [params[k] for k in ("sites", "w", "p", "start")] == [22, 0.8, 0.3, 4]
 
 
 class TestDecayCommand:

@@ -208,7 +208,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=-1.0)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 0.0, -1.0, 1e-200, 1e200])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
         with pytest.raises(ValueError):
             Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=epsilon)
@@ -274,6 +274,11 @@ class TestF1SpacingLaw:
     def test_pdf_normalization(self):
         val, _ = integrate.quad(lambda s: p2.spacing_pdf_f1(s, 1.0), 0.0, 60.0, limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_pdf_below_normal_k0_argument(self):
+        # s^2/4 underflows to 0 here; (s/pi) K0(s^2/4) by 30-digit mpmath
+        want = 2.4967627696686507869617781026e-168
+        assert p2.spacing_pdf_f1(1e-170, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_pdf_value_composed_with_k0_oracle(self):
         assert p2.spacing_pdf_f1(1.0, 1.0) == pytest.approx(F1_PDF_AT_1, rel=1e-12)

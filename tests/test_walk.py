@@ -10,7 +10,7 @@ from phrmt import walk
 from phrmt.walk import WalkConfig, WalkState
 
 # Fig-4-style ring: 22 sites, stay 0.2, right 0.24, left 0.56
-RING22 = WalkConfig(n_sites=22, w=0.8, p=0.3)
+RING22 = WalkConfig.ring(22, 0.8, 0.3)
 
 # frozen closed-form values (independent quadrature in test_closed_form_*):
 DECAY_T2 = 0.544654387013526
@@ -33,48 +33,48 @@ def _quad_decay(t: int) -> float:
 class TestWalkConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WalkConfig(n_sites=1, w=0.5, p=0.5)
+            WalkConfig.ring(1, 0.5, 0.5)
         with pytest.raises(ValueError):
-            WalkConfig(n_sites=4, w=1.5, p=0.5)
+            WalkConfig.ring(4, 1.5, 0.5)
         with pytest.raises(ValueError):
-            WalkConfig(n_sites=4, w=0.5, p=-0.1)
+            WalkConfig.ring(4, 0.5, -0.1)
         with pytest.raises(ValueError):
-            WalkConfig(n_sites=4)
+            WalkConfig(np.array([0.5, 0.2, 0.2]))
         with pytest.raises(ValueError):
-            WalkConfig(n_sites=3, row=np.array([0.5, 0.2, 0.2]))
-        with pytest.raises(ValueError):
-            WalkConfig(n_sites=3, row=np.array([1.2, -0.1, -0.1]))
+            WalkConfig(np.array([1.2, -0.1, -0.1]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_row_rejected(self, bad):
         # NaN passes both the sign check and the sum check
         with pytest.raises(ValueError, match="finite"):
-            WalkConfig(n_sites=3, row=np.array([0.5, bad, 0.5]))
+            WalkConfig(np.array([0.5, bad, 0.5]))
 
     def test_hop_row_biased(self):
-        row = RING22.hop_row()
+        row = RING22.row
         assert row[0] == pytest.approx(0.2)
         assert row[1] == pytest.approx(0.24)
         assert row[21] == pytest.approx(0.56)
         assert np.all(row[2:21] == 0.0)
+        with pytest.raises(ValueError):  # the stored row is read-only
+            row[0] = 1.0
 
     def test_hop_row_two_sites_folds(self):
-        row = WalkConfig(n_sites=2, w=0.6, p=0.7).hop_row()
+        row = WalkConfig.ring(2, 0.6, 0.7).row
         assert row[0] == pytest.approx(0.4)
         assert row[1] == pytest.approx(0.6)
 
 
 def _transition(cfg: WalkConfig) -> np.ndarray:
-    return oracles.transition_matrix(cfg.hop_row())
+    return oracles.transition_matrix(cfg.row)
 
 
 class TestTransitionMatrix:
     def test_no_jump_is_identity(self):
-        m = _transition(WalkConfig(n_sites=5, w=0.0, p=0.5))
+        m = _transition(WalkConfig.ring(5, 0.0, 0.5))
         assert np.array_equal(m, np.eye(5))
 
     def test_pure_rotation_row(self):
-        m = _transition(WalkConfig(n_sites=3, w=1.0, p=1.0))
+        m = _transition(WalkConfig.ring(3, 1.0, 1.0))
         assert m[0].tolist() == [0.0, 1.0, 0.0]
 
     def test_doubly_stochastic(self):
@@ -94,19 +94,19 @@ class TestEvolution:
     def test_uniform_is_stationary(self):
         state = WalkState(0, np.full(22, 1.0 / 22.0))
         for t in (1, 10, 500):
-            out = walk.evolve_spectral(RING22, state, t)
+            (out,) = walk.evolve_spectral(RING22, state, [t])
             assert np.allclose(out.probs, 1.0 / 22.0, atol=1e-13)
 
     def test_time_zero_is_identity(self):
         state = WalkState.delta(22, 3)
-        out = walk.evolve_spectral(RING22, state, 0)
+        (out,) = walk.evolve_spectral(RING22, state, [0])
         assert np.allclose(out.probs, state.probs, atol=1e-13)
 
     def test_rotation_shifts_delta(self):
-        cfg = WalkConfig(n_sites=5, w=1.0, p=1.0)
+        cfg = WalkConfig.ring(5, 1.0, 1.0)
         state = WalkState.delta(5, 0)
         for k in (1, 2, 7):
-            out = walk.evolve_spectral(cfg, state, k)
+            (out,) = walk.evolve_spectral(cfg, state, [k])
             expect = np.zeros(5)
             expect[(0 - k) % 5] = 1.0
             assert np.allclose(out.probs, expect, atol=1e-12)
@@ -114,32 +114,32 @@ class TestEvolution:
     def test_matches_matrix_powers(self):
         for cfg in (
             RING22,
-            WalkConfig(n_sites=9, w=0.35, p=0.8),
-            WalkConfig(n_sites=64, w=0.6, p=0.45),
+            WalkConfig.ring(9, 0.35, 0.8),
+            WalkConfig.ring(64, 0.6, 0.45),
         ):
             m = _transition(cfg)
             p = WalkState.delta(cfg.n_sites, 1).probs
             for t in range(101):
-                spectral = walk.evolve_spectral(cfg, WalkState.delta(cfg.n_sites, 1), t)
+                (spectral,) = walk.evolve_spectral(cfg, WalkState.delta(cfg.n_sites, 1), [t])
                 assert np.max(np.abs(spectral.probs - p)) < 1e-10
                 p = m @ p
 
     def test_probability_conserved(self):
         state = WalkState.delta(22, 0)
         for t in range(0, 800, 25):
-            out = walk.evolve_spectral(RING22, state, t)
+            (out,) = walk.evolve_spectral(RING22, state, [t])
             assert abs(out.probs.sum() - 1.0) <= 1e-12
 
     def test_time_sequence_matches_single_steps(self):
         state = WalkState.delta(22, 5)
         ts = np.arange(0, 120, 7)
-        states = walk.evolve_spectral(RING22, state, ts)
+        states = list(walk.evolve_spectral(RING22, state, ts))
         assert states[0] is state
         for t, out in zip(ts, states):
-            single = walk.evolve_spectral(RING22, state, int(t))
+            (single,) = walk.evolve_spectral(RING22, state, [int(t)])
             assert out.t == single.t == t
             assert np.array_equal(out.probs, single.probs)
-        assert walk.evolve_spectral(RING22, state, []) == []
+        assert list(walk.evolve_spectral(RING22, state, [])) == []
         with pytest.raises(ValueError):
             walk.evolve_spectral(RING22, state, [3, -1])
 
@@ -148,7 +148,7 @@ class TestEvolution:
         # spectral round-off below zero grows with the ring size; a fixed
         # -1e-14 floor rejected these evolutions from 128 sites on.  Clipping
         # that round-off to 0 adds at most about 1e-14 per site to the sum.
-        cfg = WalkConfig(n_sites=n_sites, w=0.8, p=0.3)
+        cfg = WalkConfig.ring(n_sites, 0.8, 0.3)
         for out in walk.evolve_spectral(cfg, WalkState.delta(n_sites, 0), range(60)):
             assert out.probs.min() >= 0.0
             assert abs(out.probs.sum() - 1.0) <= n_sites * 1e-14
@@ -156,7 +156,7 @@ class TestEvolution:
     @pytest.mark.parametrize("n_sites", [128, 256, 512])
     def test_evolved_states_rebuild(self, n_sites):
         # a stored state passes its own constructor's checks again
-        cfg = WalkConfig(n_sites=n_sites, w=0.8, p=0.3)
+        cfg = WalkConfig.ring(n_sites, 0.8, 0.3)
         for out in walk.evolve_spectral(cfg, WalkState.delta(n_sites, 0), range(200)):
             assert np.array_equal(WalkState(out.t, out.probs).probs, out.probs)
 
@@ -172,11 +172,26 @@ class TestEvolution:
     def test_evolution_memory_is_linear_in_sites(self):
         # the transforms work on length-N vectors; dense N x N Fourier
         # matrices would take 2 x 64 MiB at 2048 sites
-        cfg = WalkConfig(n_sites=2048, w=0.8, p=0.3)
+        cfg = WalkConfig.ring(2048, 0.8, 0.3)
         p0 = WalkState.delta(2048, 0)
         tracemalloc.start()
         try:
-            walk.evolve_spectral(cfg, p0, range(1, 11))
+            for _ in walk.evolve_spectral(cfg, p0, range(1, 11)):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_evolution_memory_does_not_grow_with_steps(self):
+        # each state is made as the iterator reaches it; 2000 states of
+        # 2048 sites kept at once would take 32 MiB
+        cfg = WalkConfig.ring(2048, 0.8, 0.3)
+        p0 = WalkState.delta(2048, 0)
+        tracemalloc.start()
+        try:
+            for _ in walk.evolve_spectral(cfg, p0, range(1, 2001)):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -184,7 +199,7 @@ class TestEvolution:
 
     def test_long_rotation_within_scaled_roundoff(self):
         # unit-modulus modes carry phase round-off that grows with t
-        cfg = WalkConfig(n_sites=5, w=1.0, p=1.0)
+        cfg = WalkConfig.ring(5, 1.0, 1.0)
         out = walk.evolve_spectral(cfg, WalkState.delta(5, 0), range(995, 1001))
         assert [int(np.argmax(s.probs)) for s in out] == [(-t) % 5 for t in range(995, 1001)]
 
@@ -208,15 +223,15 @@ class TestEntropy:
 
     def test_saturates_at_log_n(self):
         tmix = walk.spectral_gap_mixing_time(RING22, target=1e-7)
-        state = walk.evolve_spectral(RING22, WalkState.delta(22, 0), tmix)
+        (state,) = walk.evolve_spectral(RING22, WalkState.delta(22, 0), [tmix])
         assert abs(walk.entropy(state) - math.log(22.0)) < 1e-8
 
     def test_no_gap_rejected(self):
         with pytest.raises(ValueError):
-            walk.spectral_gap_mixing_time(WalkConfig(n_sites=5, w=0.0, p=0.5))
+            walk.spectral_gap_mixing_time(WalkConfig.ring(5, 0.0, 0.5))
         with pytest.raises(ValueError):
             # pure rotation never mixes
-            walk.spectral_gap_mixing_time(WalkConfig(n_sites=5, w=1.0, p=1.0))
+            walk.spectral_gap_mixing_time(WalkConfig.ring(5, 1.0, 1.0))
 
 
 class TestDecayClosedForm:
@@ -260,8 +275,8 @@ class TestExcessOccupation:
     def test_time_zero_identity(self):
         # with any exact transition spectrum the mode sum collapses to
         # p0[j] - 1/N at t = 0
-        cfg = WalkConfig(n_sites=8, w=0.8, p=0.3)
-        lams = oracles.dft_per_term(cfg.hop_row())[1:]
+        cfg = WalkConfig.ring(8, 0.8, 0.3)
+        lams = oracles.dft_per_term(cfg.row)[1:]
         rng = np.random.default_rng(70)
         p0 = rng.random(8)
         p0 /= p0.sum()
@@ -272,11 +287,11 @@ class TestExcessOccupation:
 
     def test_evolution_route_agrees(self):
         # the mode sum reproduces the spectral propagator at every time
-        cfg = WalkConfig(n_sites=6, w=0.55, p=0.2)
-        lams = oracles.dft_per_term(cfg.hop_row())[1:]
+        cfg = WalkConfig.ring(6, 0.55, 0.2)
+        lams = oracles.dft_per_term(cfg.row)[1:]
         p0 = WalkState.delta(6, 2)
         for t in (1, 5, 20):
-            evolved = walk.evolve_spectral(cfg, p0, t)
+            (evolved,) = walk.evolve_spectral(cfg, p0, [t])
             for j in range(6):
                 val = oracles.excess_occupation(lams, p0.probs, j, t)
                 assert val.real == pytest.approx(evolved.probs[j] - 1.0 / 6.0, abs=1e-12)
@@ -300,14 +315,14 @@ class TestDecayMonteCarlo:
     def test_three_sigma_agreement_with_closed_form(self):
         rng = np.random.default_rng(72)
         for t in (2, 5, 10):
-            mean, se = walk.rmt_decay_monte_carlo(32, t, 100_000, rng)
+            ((mean, se),) = walk.rmt_decay_monte_carlo(32, [t], 100_000, [rng])
             cf = walk.rmt_decay_closed_form(t)
             assert abs(mean - cf) <= 3.0 * se, (t, mean, cf, se)
 
     def test_variance_shrinks_with_realizations(self):
         rng = np.random.default_rng(73)
-        _, se_small = walk.rmt_decay_monte_carlo(16, 4, 2_000, rng)
-        _, se_big = walk.rmt_decay_monte_carlo(16, 4, 50_000, rng)
+        ((_, se_small),) = walk.rmt_decay_monte_carlo(16, [4], 2_000, [rng])
+        ((_, se_big),) = walk.rmt_decay_monte_carlo(16, [4], 50_000, [rng])
         ratio = se_small / se_big
         assert 3.0 < ratio < 8.5  # ~sqrt(25) = 5 up to sampling noise
 
@@ -320,7 +335,7 @@ class TestDecayMonteCarlo:
         r = walk.sample_decay_moduli(realizations * (n - 1), rng).reshape(realizations, n - 1)
         theta = rng.uniform(-math.pi, math.pi, size=(realizations, n - 1))
         want = oracles.complex_power_decay_estimate(r, theta, t)
-        got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(74))
+        (got,) = walk.rmt_decay_monte_carlo(n, [t], realizations, [np.random.default_rng(74)])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     # R = 1000 at N = _SLICE + 2 is left out: the oracle's whole draws alone
@@ -338,7 +353,9 @@ class TestDecayMonteCarlo:
         )
         assert len(got) == len(steps)
         for t, seed, pair in zip(steps, seeds, got):
-            alone = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(seed))
+            (alone,) = walk.rmt_decay_monte_carlo(
+                n, [t], realizations, [np.random.default_rng(seed)]
+            )
             want = oracles.whole_array_decay_estimate(
                 n, t, realizations, np.random.default_rng(seed)
             )
@@ -355,7 +372,9 @@ class TestDecayMonteCarlo:
         accepted = u * math.exp(-math.pi / 4.0) <= r * r * np.exp(-math.pi * r * r / 4.0)
         assert np.count_nonzero(accepted) < count
         for t in (1, 7):
-            got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(seed))
+            (got,) = walk.rmt_decay_monte_carlo(
+                n, [t], realizations, [np.random.default_rng(seed)]
+            )
             want = oracles.whole_array_decay_estimate(
                 n, t, realizations, np.random.default_rng(seed)
             )
@@ -384,8 +403,8 @@ class TestDecayMonteCarlo:
         with pytest.raises(ValueError):
             walk.rmt_decay_monte_carlo(8, [1, 2], 10, [rng])
         with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(2, 1, 10, rng)
+            walk.rmt_decay_monte_carlo(2, [1], 10, [rng])
         with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(8, -1, 10, rng)
+            walk.rmt_decay_monte_carlo(8, [-1], 10, [rng])
         with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(8, 1, 0, rng)
+            walk.rmt_decay_monte_carlo(8, [1], 0, [rng])
