@@ -173,40 +173,93 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
     eigenvalue without a partner, a non-finite entry) raises ``ValueError``
     naming the row: every ensemble handled here has spectra closed under
     conjugation, so such a row has no pairing that is not arbitrary.
+
+    Most rows are settled by ``_screen`` in O(n log n); the rest go through
+    the O(n^2) rule of ``_pair_full``, which both give the same partners.
     """
     count, n = spectra.shape
     partner = np.empty((count, n), dtype=int)
-    idx = np.arange(n)
     step = _chunk_rows(n)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
-        tol = _RTOL * np.max(np.abs(rows), axis=1)
-        real = np.abs(rows.imag) <= tol[:, None]
-        # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
-        # non-finite entries are refused, so inf - inf here is never used,
-        # and a difference that overflows leaves no partner within tol
-        with np.errstate(invalid="ignore", over="ignore"):
-            d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
-        d[real[:, :, None] | real[:, None, :]] = np.inf
-        d[:, idx, idx] = np.inf
-        # nearest and second-nearest distance; the second is the minimum once
-        # the nearest entry is masked, so no sorted copy of d is kept
-        near = np.argmin(d, axis=2)
-        d1 = np.take_along_axis(d, near[..., None], axis=2)[..., 0]
-        np.put_along_axis(d, near[..., None], np.inf, axis=2)
-        d2 = np.min(d, axis=2)
-        del d
-        mutual = np.take_along_axis(near, near, axis=1) == idx
-        ok = real | (mutual & (d1 < d2) & (d1 <= tol[:, None]))
-        bad = np.flatnonzero(~(ok.all(axis=1) & np.isfinite(rows).all(axis=1)))
-        if bad.size:
-            raise ValueError(
-                f"spectrum row {start + bad[0]} cannot be paired: a complex eigenvalue has no "
-                "conjugate partner that is unique, mutual and within tolerance, or an entry "
-                "is not finite"
-            )
-        partner[start : start + len(rows)] = np.where(real, idx, near)
+        part, settled = _screen(rows)
+        rest = np.flatnonzero(~settled)
+        if rest.size:
+            part[rest] = _pair_full(rows[rest], start + rest)
+        partner[start : start + len(rows)] = part
     return partner
+
+
+def _tolerance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row tolerance, shape (count, 1), and the mask of real eigenvalues."""
+    tol = _RTOL * np.max(np.abs(rows), axis=1, keepdims=True)
+    return tol, np.abs(rows.imag) <= tol
+
+
+def _screen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partners from each row's complex eigenvalues sorted by real part, and
+    the mask of the rows they are right for.
+
+    A finite row is settled when every complex eigenvalue has exactly one
+    other complex eigenvalue within tol in real part, and its conjugate lies
+    within tol of that one.  Then every other candidate is further than tol
+    even in real part, so the full rule picks the same partner, uniquely,
+    strictly and mutually.
+    """
+    count, n = rows.shape
+    tol, real = _tolerance(rows)
+    key = np.where(real, np.inf, rows.real)  # reals sort after every complex one
+    order = np.argsort(key, axis=1)
+    x = np.take_along_axis(key, order, axis=1)
+    close = np.zeros((count, n + 1), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf among reals: not close
+        np.less_equal(x[:, 1:] - x[:, :-1], tol, out=close[:, 1:n])
+    # left[s], right[s]: sorted position s is within tol of s - 1, of s + 1
+    left, right = close[:, :n], close[:, 1:]
+    comp = x < np.inf
+    mate = np.take_along_axis(order, np.where(right, np.arange(n) + 1, np.arange(n) - 1), axis=1)
+    partner = np.empty_like(order)
+    np.put_along_axis(partner, order, np.where(comp, mate, order), axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = np.abs(np.take_along_axis(rows, partner, axis=1) - np.conj(rows)) <= tol
+    settled = (
+        (~comp | (left ^ right)).all(axis=1)
+        & (real | near).all(axis=1)
+        & np.isfinite(rows).all(axis=1)
+    )
+    return partner, settled
+
+
+def _pair_full(rows: np.ndarray, row_ids: np.ndarray) -> np.ndarray:
+    """Partners of at most ``_chunk_rows(n)`` rows by the full O(n^2) rule of
+    ``_pair_batch``; ``row_ids`` are their indices in the whole batch, and a
+    refusal names the first row that fails."""
+    idx = np.arange(rows.shape[1])
+    tol, real = _tolerance(rows)
+    # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
+    # non-finite entries are refused, so inf - inf here is never used,
+    # and a difference that overflows leaves no partner within tol
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
+    d[real[:, :, None] | real[:, None, :]] = np.inf
+    d[:, idx, idx] = np.inf
+    # nearest and second-nearest distance; the second is the minimum once
+    # the nearest entry is masked, so no sorted copy of d is kept
+    near = np.argmin(d, axis=2)
+    d1 = np.take_along_axis(d, near[..., None], axis=2)[..., 0]
+    np.put_along_axis(d, near[..., None], np.inf, axis=2)
+    d2 = np.min(d, axis=2)
+    del d
+    mutual = np.take_along_axis(near, near, axis=1) == idx
+    ok = real | (mutual & (d1 < d2) & (d1 <= tol))
+    bad = np.flatnonzero(~(ok.all(axis=1) & np.isfinite(rows).all(axis=1)))
+    if bad.size:
+        raise ValueError(
+            f"spectrum row {row_ids[bad[0]]} cannot be paired: a complex eigenvalue has no "
+            "conjugate partner that is unique, mutual and within tolerance, or an entry "
+            "is not finite"
+        )
+    return np.where(real, idx, near)
 
 
 def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:

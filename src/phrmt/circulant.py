@@ -232,33 +232,65 @@ def _classify_batch(
     """Spacing classes of a (count, n) batch with one pairing ``partner`` for
     every row, shape (n,), or one per row, shape (count, n).
 
-    Each step selects from ``d[r, i, j] = e_i - e_j`` the entries with
-    ``i < j`` and ``partner[i] == j`` (cc), ``i`` real and ``j`` complex (rc),
-    and ``i < j``, both complex and not partners (generic), so values come by
-    row, then in (i, j) row-major order, as from ``classify_spacings``.
+    Each step fills a table of ``|e_i - e_j|`` over ``i < j``, in (i, j)
+    row-major order, and reads the classes from it: ``partner[i] == j``
+    (cc), ``i`` real and ``j`` complex (rc, at the table entry of ``{i, j}``,
+    since ``|e_j - e_i|`` is bitwise ``|e_i - e_j|``), and both complex and
+    not partners (generic).  So values come by row, then in (i, j) row-major
+    order, as from ``classify_spacings``.
     """
     count, n = spectra.shape
     partner = partner.reshape(-1, n)
     idx = np.arange(n)
-    upper = idx[:, None] < idx
+    iu, ju = np.triu_indices(n, k=1)
+    m = iu.size
+    col = np.zeros((n, n), dtype=np.intp)  # table column of the pair {i, j}
+    col[iu, ju] = col[ju, iu] = np.arange(m)
     # class sizes of a row with c complex and n - c real eigenvalues
     c = np.broadcast_to(np.count_nonzero(partner != idx, axis=1), (count,))
     sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
     out = [np.empty(int(size.sum())) for size in sizes]
     filled = [0, 0, 0]
     step = _chunk_rows(n)
+    diff = np.empty((min(step, count), m), dtype=complex)
+    table = np.empty((min(step, count), m))
+    if len(partner) == 1:
+        # a pairing shared by every row selects the same table columns
+        part = partner[0]
+        real = part == idx
+        lead = np.flatnonzero(idx < part)
+        shared = (
+            col[lead, part[lead]],
+            col[np.ix_(idx[real], idx[~real])].ravel(),
+            np.flatnonzero(~real[iu] & ~real[ju] & (part[iu] != ju)),
+        )
     for start in range(0, count, step):
         rows = spectra[start : start + step]
-        part = partner if len(partner) == 1 else partner[start : start + step]
+        r = len(rows)
+        d, t = diff[:r], table[:r]
+        off = 0
+        for i in range(n - 1):
+            np.subtract(rows[:, i, None], rows[:, i + 1 :], out=d[:, off : off + n - 1 - i])
+            off += n - 1 - i
+        np.abs(d, out=t)
+        if len(partner) == 1:
+            for k, cols in enumerate(shared):
+                dest = out[k][filled[k] : filled[k] + r * cols.size]
+                np.take(t, cols, axis=1, out=dest.reshape(r, cols.size), mode="clip")
+                filled[k] += dest.size
+            continue
+        part = partner[start : start + r]
         real = part == idx
-        pair = part[:, :, None] == idx
-        comp_i, comp_j = ~real[:, :, None], ~real[:, None, :]
-        masks = (upper & pair, real[:, :, None] & comp_j, upper & comp_i & comp_j & ~pair)
-        d = rows[:, :, None] - rows[:, None, :]
-        for k, mask in enumerate(masks):
-            # a pairing shared by the whole step selects along (i, j) only
-            values = d[:, mask[0]].ravel() if len(mask) == 1 else d[mask]
-            np.abs(values, out=out[k][filled[k] : filled[k] + values.size])
+        row, i = np.nonzero(idx < part)
+        cc = row, col[i, part[row, i]]
+        # each real eigenvalue against the complex ones of its row
+        row, i = np.nonzero(real)
+        pick, j = np.nonzero(~real[row])
+        rc = row[pick], col[i[pick], j]
+        generic = ~real[:, iu] & ~real[:, ju]
+        generic[cc] = False
+        for k, values in enumerate((t[cc], t[rc], t[generic])):
+            out[k][filled[k] : filled[k] + values.size] = values
             filled[k] += values.size
     return _as_samples(*out)
 

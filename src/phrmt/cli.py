@@ -423,6 +423,9 @@ def _replay_args(args) -> argparse.Namespace:
         raise UsageError(f"manifest {path} has no 'params' object")
     params = dict(manifest["params"])
     params["out"] = args.out if args.out else str(path.parent)
+    # a walk's config file is not read again: the manifest records every
+    # value the run took from it, and the file may since have moved
+    params.pop("config", None)
     # re-parse the recorded options, so a replay meets the same argument
     # checks as the original command line before anything is sampled
     parser = _build_parser()

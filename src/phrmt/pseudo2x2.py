@@ -170,13 +170,27 @@ def _times_pow2(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (parts * p.reshape(p.shape + (1,) * (parts.ndim - p.ndim))).view(complex)[..., 0]
 
 
+# Nonzero parts of a stack all within [2^-200, 2^200] keep every intermediate
+# of the closed form (products, their cancelling sums, the square root)
+# normal or zero, scaled or not; the exact power-of-two scaling of
+# ``eigenvalues2`` then changes no bit, and such a stack skips it.
+_UNSCALED_RANGE = (2.0**-200, 2.0**200)
+
+
+def _magnitudes(parts: np.ndarray):
+    """|part| of each of the last axis's parts in turn, so that one part's
+    array at a time is held."""
+    return (np.abs(parts[..., j]) for j in range(parts.shape[-1]))
+
+
 def eigenvalues2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a 2x2 matrix, or of a (..., 2, 2) stack, via the
     trace/determinant closed form.
 
     Returns (E+, E-), each of the stack's shape, with E+ carrying the
     principal branch of the square root; a vanishing discriminant yields a
-    repeated eigenvalue.  Each matrix is solved scaled by the power of two
+    repeated eigenvalue.  Unless all its nonzero entry parts lie within
+    ``_UNSCALED_RANGE``, each matrix is solved scaled by the power of two
     just above its largest entry (one with a non-finite entry unscaled), so
     the discriminant's products neither underflow nor overflow; the scaling
     is exact, so where they would not have anyway the result is unchanged.
@@ -185,16 +199,38 @@ def eigenvalues2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.shape[-2:] != (2, 2):
         raise ValueError("eigenvalues2 expects a 2x2 matrix or a stack of them")
     parts = m.view(float).reshape(m.shape[:-2] + (8,))  # re, im of m00, m01, m10, m11
-    big = functools.reduce(np.maximum, (np.abs(parts[..., j]) for j in range(8)))
-    # 2^-e and 2^e must both be floats: e in [-1022, 1023]
-    e = np.where(np.isfinite(big), np.clip(np.frexp(big)[1], -1022, 1023), 0)
-    m = _times_pow2(m, np.ldexp(1.0, -e))
+    lo, hi = _UNSCALED_RANGE
+    if all(
+        np.max(a, initial=0.0) <= hi and np.min(a, where=a != 0, initial=hi) >= lo
+        for a in _magnitudes(parts)
+    ):
+        up = None
+    else:
+        big = functools.reduce(np.maximum, _magnitudes(parts))
+        # 2^-e and 2^e must both be floats: e in [-1022, 1023]
+        e = np.where(np.isfinite(big), np.clip(np.frexp(big)[1], -1022, 1023), 0)
+        m = _times_pow2(m, np.ldexp(1.0, -e))
+        up = np.ldexp(1.0, e)
+    # the same operations as 0.5 * (tr +- sqrt(tr^2 - 4 det)), done in place
+    # where they can be, so at most three arrays of the stack's shape are held
     tr = m[..., 0, 0] + m[..., 1, 1]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    del m  # the scaled copy; the rest needs only tr and det
-    disc = np.sqrt(tr * tr - 4.0 * det)
-    up = np.ldexp(1.0, e)
-    return (_times_pow2(0.5 * (tr + disc), up)[()], _times_pow2(0.5 * (tr - disc), up)[()])
+    det = m[..., 0, 0] * m[..., 1, 1]
+    det -= m[..., 0, 1] * m[..., 1, 0]
+    del m  # a scaled copy, if any; the rest needs only tr and det
+    det *= 4.0
+    disc = tr * tr
+    disc -= det
+    del det
+    disc = np.sqrt(disc)
+    minus = tr - disc
+    plus = tr
+    plus += disc
+    del disc
+    plus *= 0.5
+    minus *= 0.5
+    if up is not None:
+        plus, minus = _times_pow2(plus, up), _times_pow2(minus, up)
+    return plus[()], minus[()]
 
 
 def metric_of(family: Family2x2) -> MetricPair:

@@ -87,6 +87,8 @@ class WalkConfig:
     @classmethod
     def ring(cls, n_sites: int, w: float, p: float) -> "WalkConfig":
         """Nearest-neighbour ring: stay 1-w, hop right pw, hop left (1-p)w."""
+        if n_sites < 2:
+            raise ValueError("need a hop row of at least 2 sites")
         if not 0.0 <= w <= 1.0:
             raise ValueError("jump probability w must lie in [0, 1]")
         if not 0.0 <= p <= 1.0:

@@ -323,6 +323,100 @@ class TestBatchedPairing:
         assert blockcirc._pair_batch(np.array([closed])).tolist() == [[1, 0, 3, 2]]
 
 
+def _chain_spectra(count, seed):
+    return blockcirc.batch_block_spectra(
+        blockcirc.sample_ising_blocks(25, count, np.random.default_rng(seed))
+    )
+
+
+class TestSortedScreen:
+    """``_pair_batch`` settles most rows from their eigenvalues sorted by
+    real part and sends the rest to the full rule; either way each row must
+    get the greedy oracle's partners, and a refusal must name the row by its
+    index in the whole batch."""
+
+    def test_non_partners_with_close_real_parts_go_to_the_full_rule(self):
+        # tol is about 3e-9 here: the two pairs, and a third pair, have real
+        # parts within it of each other, so the screen cannot settle the rows
+        spectra = np.array(
+            [
+                [1 + 1j, 1 - 1j, 1 + 5e-10 + 2j, 1 + 5e-10 - 2j, 3.0, -2.0],
+                [1 + 1j, 1 + 1e-9 + 2j, 1 + 2e-9 - 1j, 1 + 1e-9 - 2j, 1 + 1j * 1e-12, 3.0],
+            ]
+        )
+        assert not blockcirc._screen(spectra)[1].any()
+        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
+
+    def test_real_part_neighbour_that_is_no_conjugate_is_refused(self):
+        # row 1's complex eigenvalues share their real part, so each is the
+        # other's only close neighbour, but neither is the other's conjugate
+        spectra = np.array([[1 + 1j, 1 - 1j, 3.0], [1 + 1j, 1 + 2j, 3.0]])
+        with pytest.raises(ValueError, match="spectrum row 1 "):
+            blockcirc._pair_batch(spectra)
+
+    def test_chain_rows_with_equal_real_parts_across_blocks(self):
+        # in these chain rows eigenvalues of two different blocks share
+        # their real part to within tol, so the screen defers them
+        spectra = _chain_spectra(300, 25)
+        deferred = np.flatnonzero(~blockcirc._screen(spectra)[1])
+        assert deferred.tolist() == [31, 244]
+        rows = spectra[deferred]
+        assert np.array_equal(blockcirc._pair_batch(rows), _greedy_pairing(rows))
+        # and the same with the real parts made exactly equal
+        row = spectra[0].copy()
+        partner = oracles.pair_conjugates(row)
+        i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]
+        row[[k, partner[k]]] = row[i].real + 1j * row[[k, partner[k]]].imag
+        assert not blockcirc._screen(row[None])[1][0]
+        assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
+
+    @pytest.mark.parametrize("sampler", [blockcirc.sample_gaussian_blocks, blockcirc.sample_ising_blocks])
+    def test_spectra_scaled_by_2_to_the_minus_500(self, sampler):
+        spectra = blockcirc.batch_block_spectra(sampler(25, 300, np.random.default_rng(7)))
+        tiny = spectra * 2.0**-500
+        assert np.array_equal(blockcirc._pair_batch(tiny), _greedy_pairing(tiny))
+        assert np.array_equal(blockcirc._pair_batch(tiny), blockcirc._pair_batch(spectra))
+
+    @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
+    def test_one_row_batch_through_eigenvalues_block(self, instance):
+        spec = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(3)))
+        assert np.array_equal(spec.partner, oracles.pair_conjugates(spec.eigs))
+
+    def test_tie_in_a_later_step_names_its_batch_row(self):
+        # 104 rows a step at N = 25: row 417 is the second row of the fifth step
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_gaussian_blocks(25, 600, np.random.default_rng(417))
+        )
+        assert blockcirc._chunk_rows(spectra.shape[1]) == 104
+        row = spectra[417]
+        partner = oracles.pair_conjugates(row)
+        i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]
+        row[k], row[partner[k]] = row[i], row[partner[i]]  # duplicate a conjugate pair
+        with pytest.raises(ValueError, match="spectrum row 417 "):
+            blockcirc._pair_batch(spectra)
+        with pytest.raises(ValueError, match="spectrum row 417 "):
+            blockcirc.classify_block_batch(spectra)
+
+    @pytest.mark.parametrize(
+        "sampler, low, high",
+        [(blockcirc.sample_gaussian_blocks, 0, 0), (blockcirc.sample_ising_blocks, 1, 14)],
+    )
+    def test_share_of_rows_sent_to_the_full_rule(self, monkeypatch, sampler, low, high):
+        # at most 14 of 300 (under 5 %); seed 25 sends 2 chain rows
+        sent = []
+        full = blockcirc._pair_full
+
+        def counting(rows, row_ids):
+            sent.extend(row_ids)
+            return full(rows, row_ids)
+
+        monkeypatch.setattr(blockcirc, "_pair_full", counting)
+        spectra = blockcirc.batch_block_spectra(sampler(25, 300, np.random.default_rng(25)))
+        partner = blockcirc._pair_batch(spectra)
+        assert low <= len(sent) <= high
+        assert np.array_equal(partner, _greedy_pairing(spectra))
+
+
 class TestGaussianBlockLaws:
     """Reduced-size law checks; the full-size run is in the acceptance suite."""
 

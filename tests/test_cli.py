@@ -548,6 +548,21 @@ class TestWalkCommand:
         params = json.loads((by_file / "manifest.json").read_text())["params"]
         assert [params[k] for k in ("sites", "w", "p", "start")] == [22, 0.8, 0.3, 4]
 
+    def test_config_run_replays_without_its_file(self, tmp_path, monkeypatch):
+        # the manifest records every value the file gave, so a replay from
+        # another directory, after the file is gone, reproduces the run
+        first, other = tmp_path / "first", tmp_path / "other"
+        first.mkdir()
+        other.mkdir()
+        monkeypatch.chdir(first)
+        Path("ring.cfg").write_text("sites = 22\nw = 0.8\np = 0.3\nstart = 4\n")
+        assert run("walk", "--config", "ring.cfg", "--t-max", "60", "--out", "run") == cli.EXIT_OK
+        Path("ring.cfg").unlink()
+        monkeypatch.chdir(other)
+        manifest = first / "run" / "manifest.json"
+        assert run("replay", "--manifest", str(manifest), "--out", "again") == cli.EXIT_OK
+        assert (other / "again" / "walk.csv").read_bytes() == (first / "run" / "walk.csv").read_bytes()
+
 
 class TestDecayCommand:
     def test_columns_and_percent_difference(self, tmp_path):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import oracles
+from phrmt import blockcirc
 from phrmt import pseudo2x2 as p2
 from phrmt import stats
 from phrmt.pseudo2x2 import Family2x2, FamilyTag
@@ -150,6 +152,40 @@ class TestBatched:
         for got, want in zip(scaled, p2.eigenvalues2(stack)):
             assert got.real.tobytes() == np.ldexp(want.real, power).tobytes()
             assert got.imag.tobytes() == np.ldexp(want.imag, power).tobytes()
+
+
+    def test_stack_within_range_is_not_copied_to_scale(self):
+        # the Fourier stack of 5000 x 25 Gaussian blocks is inside the
+        # unscaled range, so no scaled copy of it is held beside the input
+        stack = blockcirc.fourier(
+            blockcirc.sample_gaussian_blocks(25, 5000, np.random.default_rng(0)), axis=-3
+        )
+        tracemalloc.start()
+        try:
+            p2.eigenvalues2(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack.nbytes  # 0.75 unscaled and in place, 1.94 with the copy
+
+    def test_unscaled_range_changes_no_bit(self):
+        # nonzero parts spread over the whole unscaled range, with exact and
+        # near cancellations; one matrix outside the range sends the same
+        # matrices through the scaled path, and every bit must agree
+        rng = np.random.default_rng(11)
+        parts = np.ldexp(
+            rng.uniform(1.0, 2.0, (4000, 8)) * rng.choice([-1.0, 1.0], (4000, 8)),
+            rng.integers(-200, 200, (4000, 8)),
+        )
+        parts[rng.random((4000, 8)) < 0.2] = 0.0
+        parts[:1000, 6:] = parts[:1000, :2]  # equal diagonal entries
+        parts[1000:2000, 6] = -parts[1000:2000, 0] * (1.0 + 2.0**-52)  # cancelling trace
+        parts[2000:3000, 2:4] = parts[2000:3000, 4:6]  # symmetric
+        stack = parts.view(complex).reshape(4000, 2, 2)
+        outlier = np.array([[[1.0, 2.0**-700], [3.0, 4.0]]], dtype=complex)
+        scaled = p2.eigenvalues2(np.concatenate([stack, outlier]))
+        for got, want in zip(p2.eigenvalues2(stack), scaled):
+            assert got.tobytes() == want[:-1].tobytes()
 
 
 class TestSampling:

@@ -43,6 +43,12 @@ class TestWalkConfig:
         with pytest.raises(ValueError):
             WalkConfig(np.array([1.2, -0.1, -0.1]))
 
+    @pytest.mark.parametrize("n_sites", [-3, 0, 1])
+    def test_ring_needs_two_sites(self, n_sites):
+        # checked before the row is built, so no IndexError or numpy error
+        with pytest.raises(ValueError, match="at least 2 sites"):
+            WalkConfig.ring(n_sites, 0.5, 0.5)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_row_rejected(self, bad):
         # NaN passes both the sign check and the sum check
