@@ -472,11 +472,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, at_most: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be <= {at_most}, got {value}")
         return value
 
     parse.__name__ = "integer"  # argparse names the type in "invalid integer value"
@@ -579,7 +581,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_walk)
 
     sp = sub.add_parser("rmt-decay", help="ensemble decay-law curves")
-    sp.add_argument("--t-max", type=_int_at_least(1), default=200, help="final time step")
+    sp.add_argument(
+        "--t-max",
+        type=_int_at_least(1, at_most=walk.DECAY_T_MAX),
+        default=200,
+        help="final time step",
+    )
     sp.add_argument("--n", type=_int_at_least(3), default=32, help="ring size for Monte Carlo")
     sp.add_argument(
         "--realizations",

@@ -53,6 +53,10 @@ _SPECTRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
 # Normalization of the decay law: 1 / (erf(sqrt(pi)/2) - exp(-pi/4)).
 DECAY_NORM = 1.0 / (erf(math.sqrt(math.pi) / 2.0) - math.exp(-math.pi / 4.0))
+# The last t at which the closed form's intermediates are normal floats:
+# from t = 5856 on, (pi/4)^a e^(-pi/4) in the incomplete gamma is subnormal,
+# and from t = 5867 on, C (2/sqrt(pi))^(1+t) overflows.
+DECAY_T_MAX = 5855
 
 
 @dataclass(frozen=True)
@@ -204,10 +208,13 @@ def rmt_decay_closed_form(t: int) -> float:
 
     D(t) = C (2/sqrt(pi))^(1+t) gamma((3+t)/2, pi/4); strictly positive and
     decreasing for t >= 1.  The value is independent of the ring size; divide
-    by the site count for a per-site curve.
+    by the site count for a per-site curve.  Defined for t up to
+    ``DECAY_T_MAX``, beyond which its intermediates leave the float range.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
+    if t > DECAY_T_MAX:
+        raise ValueError(f"time must be at most {DECAY_T_MAX}, got {t}")
     a = 0.5 * (3.0 + t)
     return DECAY_NORM * (2.0 / math.sqrt(math.pi)) ** (1 + t) * lower_incomplete_gamma(a, math.pi / 4.0)
 
@@ -231,33 +238,34 @@ def rmt_decay_asymptotic(t: int) -> float:
 _SLICE = 2**13
 
 
-def _fill_decay_moduli(
-    out: np.ndarray, rbuf: np.ndarray, ubuf: np.ndarray, rng: np.random.Generator
-) -> None:
+def _fill_decay_moduli(out: np.ndarray, rng: np.random.Generator) -> None:
     """Fill ``out`` with moduli under the decay law's radial density.
 
-    Each rejection round draws m candidates r whole into ``rbuf`` (which
-    holds at least 2.5 ``out.size`` + 16 floats, the first round's m), then
-    their m uniforms u slice by slice into ``ubuf`` (``_SLICE`` floats).
-    Every double takes one draw from the stream, so this consumes it exactly
-    as two whole m-draws do, and keeps the same values.
+    A rejection round of m candidates takes the values of two whole m-draws:
+    r from ``rng``, u from a copy of its bit generator advanced by m, both
+    ``_SLICE`` at a time until ``out`` is full; then ``rng`` skips to where
+    the two draws end.  So ``advance(k)`` must skip k doubles, as PCG64's
+    (from ``default_rng`` or ``seeding.spawn_generators``) does.
     """
     count = out.size
     have = 0
     fmax = math.exp(-math.pi / 4.0)
+    rbuf, ubuf = np.empty(_SLICE), np.empty(_SLICE)
     while have < count:
         m = int((count - have) * 2.5) + 16
-        r = rng.random(out=rbuf[:m])
-        for lo in range(0, m, _SLICE):
-            rs = r[lo : lo + _SLICE]
-            # the u draws past the last value needed are still taken, so the
-            # stream stands where the whole draw would have left it
-            u = rng.random(out=ubuf[: rs.size])
-            if have < count:
-                keep = rs[u * fmax <= rs * rs * np.exp(-math.pi * rs * rs / 4.0)]
-                take = min(keep.size, count - have)
-                out[have : have + take] = keep[:take]
-                have += take
+        ahead = type(rng.bit_generator)(0)  # seeded: a seedless one reads OS entropy
+        ahead.state = rng.bit_generator.state
+        urng = np.random.Generator(ahead.advance(m))
+        drawn = 0
+        while have < count and drawn < m:
+            r = rng.random(out=rbuf[: min(_SLICE, m - drawn)])
+            u = urng.random(out=ubuf[: r.size])
+            keep = r[u * fmax <= r * r * np.exp(-math.pi * r * r / 4.0)]
+            take = min(keep.size, count - have)
+            out[have : have + take] = keep[:take]
+            have += take
+            drawn += r.size
+        rng.bit_generator.advance(2 * m - drawn)
 
 
 def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,7 +277,7 @@ def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
     increasing on [0, 1], so the envelope constant is its value at 1).
     """
     out = np.empty(count)
-    _fill_decay_moduli(out, np.empty(int(count * 2.5) + 16), np.empty(_SLICE), rng)
+    _fill_decay_moduli(out, rng)
     return out
 
 
@@ -297,9 +305,9 @@ def rmt_decay_monte_carlo(
 
     Each step draws from its own generator in ``rngs``; one (mean, stderr)
     is returned per step, in order, each equal to the call for that step
-    alone.  The scratch (about 3.5 realizations (N-1)
-    floats) is allocated once per call and reused on every step; the
-    phases, powers and row sums run over slices of ``_SLICE`` values.
+    alone.  The moduli (realizations (N-1) floats) are allocated once per
+    call and reused on every step; their draws, the phases, powers and row
+    sums run over slices of ``_SLICE`` values.
     """
     steps = [int(s) for s in steps]
     if n < 3:
@@ -312,8 +320,6 @@ def rmt_decay_monte_carlo(
         raise ValueError("need one generator per time step")
     modes = n - 1
     moduli = np.empty(realizations * modes)
-    rbuf = np.empty(int(moduli.size * 2.5) + 16)
-    ubuf = np.empty(_SLICE)
     est = np.empty(realizations)
     rows = max(1, _SLICE // modes)
     # Site average over j != 0 of the mode sum: sum_{j != 0} omega_j^l = -1
@@ -321,7 +327,7 @@ def rmt_decay_monte_carlo(
     site_factor = -1.0 / (n * (n - 1))
     results = []
     for s, g in zip(steps, rngs):
-        _fill_decay_moduli(moduli, rbuf, ubuf, g)
+        _fill_decay_moduli(moduli, g)
         # the phases follow all the moduli in the stream; row slices of the
         # whole (realizations, N-1) draw give the same values
         for lo in range(0, realizations, rows):

@@ -34,9 +34,10 @@ KEEP = {
     "pseudo2x2.metric_of": "oracle",
     "pseudo2x2.diagonalizer": "oracle",
     "pseudo2x2.pseudo_hermiticity_residual": "oracle",
-    # the decay estimator's moduli draw on its own, which fills a scratch
-    # buffer in the library; the tests check the radial law's moments with it
-    # and replay the estimator's draws with it against the complex-power oracle
+    # the decay estimator's moduli draw on its own, into one new array; the
+    # tests check the radial law's moments and the stream position it leaves
+    # with it, and replay the estimator's draws with it against the
+    # complex-power oracle
     "walk.sample_decay_moduli": "oracle",
 }
 

@@ -211,6 +211,9 @@ class TestBadArguments:
             (["spacing2x2", "--family", "f1", "--count", "10", "--ks-threshold", "-0.1"],
              "--ks-threshold"),
             (["spacing2x2", "--family", "f9", "--count", "10"], "--family"),
+            # past the closed form's float range
+            (["rmt-decay", "--t-max", "5870", "--realizations", "10"], "--t-max"),
+            (["rmt-decay", "--t-max", "6000", "--realizations", "10"], "--t-max"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,14 @@ def _quad_decay(t: int) -> float:
         limit=300,
     )
     return walk.DECAY_NORM * 0.5 * math.pi * val
+
+
+def _first_round_accepted(count: int, seed: int) -> int:
+    # candidates that the first rejection round of a draw of count moduli accepts
+    g = np.random.default_rng(seed)
+    m = int(count * 2.5) + 16
+    r, u = g.random(m), g.random(m)
+    return np.count_nonzero(u * math.exp(-math.pi / 4.0) <= r * r * np.exp(-math.pi * r * r / 4.0))
 
 
 class TestWalkConfig:
@@ -276,6 +285,23 @@ class TestDecayClosedForm:
         with pytest.raises(ValueError):
             walk.rmt_decay_asymptotic(-1)
 
+    def test_last_time_in_float_range(self):
+        t = walk.DECAY_T_MAX
+        cf = walk.rmt_decay_closed_form(t)
+        assert math.isfinite(cf)
+        assert cf == pytest.approx(walk.rmt_decay_asymptotic(t), rel=1e-6)
+
+        # the incomplete gamma's prefactor (pi/4)^a e^(-pi/4), a = (3+t)/2
+        def prefactor(t):
+            return (math.pi / 4.0) ** (0.5 * (3.0 + t)) * math.exp(-math.pi / 4.0)
+
+        assert prefactor(t) >= sys.float_info.min > prefactor(t + 1)
+
+    @pytest.mark.parametrize("t", [5856, 5870, 5876, 10**6])
+    def test_times_past_float_range_refused(self, t):
+        with pytest.raises(ValueError):
+            walk.rmt_decay_closed_form(t)
+
 
 class TestExcessOccupation:
     def test_time_zero_identity(self):
@@ -372,11 +398,7 @@ class TestDecayMonteCarlo:
         # candidates accept fewer than 45
         n, realizations, seed = 10, 5, 343
         count = realizations * (n - 1)
-        first = np.random.default_rng(seed)
-        m = int(count * 2.5) + 16
-        r, u = first.random(m), first.random(m)
-        accepted = u * math.exp(-math.pi / 4.0) <= r * r * np.exp(-math.pi * r * r / 4.0)
-        assert np.count_nonzero(accepted) < count
+        assert _first_round_accepted(count, seed) < count
         for t in (1, 7):
             (got,) = walk.rmt_decay_monte_carlo(
                 n, [t], realizations, [np.random.default_rng(seed)]
@@ -390,11 +412,24 @@ class TestDecayMonteCarlo:
             want = oracles.whole_array_decay_moduli(size, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "size, seed, one_round", [(1, 75, True), (2, 75, True), (20_000, 75, True), (45, 343, False)]
+    )
+    def test_stream_position_after_draw_matches_whole_arrays(self, size, seed, one_round):
+        # the fill stops drawing once its moduli are full, then skips the
+        # stream to where two whole draws per rejection round leave it
+        assert (_first_round_accepted(size, seed) >= size) == one_round
+        g = np.random.default_rng(seed)
+        walk.sample_decay_moduli(size, g)
+        want = np.random.default_rng(seed)
+        oracles.whole_array_decay_moduli(size, want)
+        assert g.random(3).tobytes() == want.random(3).tobytes()
+
     @pytest.mark.parametrize("steps", [50, 1], ids=["50-steps", "1-step"])
     def test_scratch_is_allocated_once_per_call(self, steps):
-        # two buffers of 2.5 and 1 times R (N-1) floats, plus slices and R-sized sums
+        # the moduli, R (N-1) floats, plus 64 KiB slices and R-sized sums
         n, realizations = 32, 2000
-        bound = 3.5 * realizations * (n - 1) * 8 + 2**20
+        bound = 1.0 * realizations * (n - 1) * 8 + 2**20
         rngs = [np.random.default_rng(s) for s in range(steps)]
         tracemalloc.start()
         try:
