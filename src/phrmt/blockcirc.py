@@ -174,92 +174,62 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
     naming the row: every ensemble handled here has spectra closed under
     conjugation, so such a row has no pairing that is not arbitrary.
 
-    Most rows are settled by ``_screen`` in O(n log n); the rest go through
-    the O(n^2) rule of ``_pair_full``, which both give the same partners.
+    Only pairs within tol of each other in real part are compared: the
+    modulus of e_j - conj(e_i) is at least its real part's, so any other
+    pair is further than tol apart (see docs/decisions.md).
     """
     count, n = spectra.shape
     partner = np.empty((count, n), dtype=int)
     step = _chunk_rows(n)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
-        part, settled = _screen(rows)
-        rest = np.flatnonzero(~settled)
-        if rest.size:
-            part[rest] = _pair_full(rows[rest], start + rest)
-        partner[start : start + len(rows)] = part
+        size = rows.size
+        tol = _RTOL * np.max(np.abs(rows), axis=1, keepdims=True)
+        real = np.abs(rows.imag) <= tol
+        key = np.where(real, np.inf, rows.real)  # reals sort after every complex one
+        order = np.argsort(key, axis=1)
+        # flat indices of each row sorted by real part, and the sorted values
+        idx = (order + np.arange(0, size, n)[:, None]).ravel()
+        x, e = key.ravel()[idx], rows.ravel()[idx]
+        tols = np.repeat(tol.ravel(), n)
+        # sorted positions p and p + k of one row within tol in real part, for
+        # k = 1, 2, ...: a pair at offset k has one at k - 1 from the same p
+        # (the computed gap grows with k), so only those p are tried, and the
+        # offsets stop at the first without a pair.  Pairs within tol as
+        # conjugates are kept.  A row with non-finite entries is refused, so
+        # inf - inf and NaN here are never used, and a difference that
+        # overflows is no partner.
+        lo, hi, dist = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+        p = np.arange(size)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in range(1, n):
+                p = p[p % n < n - k]
+                p = p[x[p + k] - x[p] <= tols[p]]
+                if not p.size:
+                    break
+                d = np.abs(e[p + k] - np.conj(e[p]))  # bitwise the same both ways
+                keep = d <= tols[p]
+                lo.append(p[keep])
+                hi.append(p[keep] + k)
+                dist.append(d[keep])
+        at, to, d = np.concatenate(lo + hi), np.concatenate(hi + lo), np.concatenate(dist * 2)
+        # each eigenvalue's nearest conjugate within tol, and whether it is unique
+        nearest = np.full(size, np.inf)
+        np.minimum.at(nearest, at, d)
+        hit = d == nearest[at]
+        mate = np.arange(size)
+        mate[at[hit]] = to[hit]
+        unique = np.bincount(at[hit], minlength=size) == 1
+        ok = real.ravel()[idx] | (unique & (mate[mate] == np.arange(size)))
+        bad = np.flatnonzero(~(ok.reshape(rows.shape).all(axis=1) & np.isfinite(rows).all(axis=1)))
+        if bad.size:
+            raise ValueError(
+                f"spectrum row {start + bad[0]} cannot be paired: a complex eigenvalue has no "
+                "conjugate partner that is unique, mutual and within tolerance, or an entry "
+                "is not finite"
+            )
+        partner[start : start + len(rows)].reshape(-1)[idx] = order.ravel()[mate]
     return partner
-
-
-def _tolerance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row tolerance, shape (count, 1), and the mask of real eigenvalues."""
-    tol = _RTOL * np.max(np.abs(rows), axis=1, keepdims=True)
-    return tol, np.abs(rows.imag) <= tol
-
-
-def _screen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partners from each row's complex eigenvalues sorted by real part, and
-    the mask of the rows they are right for.
-
-    A finite row is settled when every complex eigenvalue has exactly one
-    other complex eigenvalue within tol in real part, and its conjugate lies
-    within tol of that one.  Then every other candidate is further than tol
-    even in real part, so the full rule picks the same partner, uniquely,
-    strictly and mutually.
-    """
-    count, n = rows.shape
-    tol, real = _tolerance(rows)
-    key = np.where(real, np.inf, rows.real)  # reals sort after every complex one
-    order = np.argsort(key, axis=1)
-    x = np.take_along_axis(key, order, axis=1)
-    close = np.zeros((count, n + 1), dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf among reals: not close
-        np.less_equal(x[:, 1:] - x[:, :-1], tol, out=close[:, 1:n])
-    # left[s], right[s]: sorted position s is within tol of s - 1, of s + 1
-    left, right = close[:, :n], close[:, 1:]
-    comp = x < np.inf
-    mate = np.take_along_axis(order, np.where(right, np.arange(n) + 1, np.arange(n) - 1), axis=1)
-    partner = np.empty_like(order)
-    np.put_along_axis(partner, order, np.where(comp, mate, order), axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        near = np.abs(np.take_along_axis(rows, partner, axis=1) - np.conj(rows)) <= tol
-    settled = (
-        (~comp | (left ^ right)).all(axis=1)
-        & (real | near).all(axis=1)
-        & np.isfinite(rows).all(axis=1)
-    )
-    return partner, settled
-
-
-def _pair_full(rows: np.ndarray, row_ids: np.ndarray) -> np.ndarray:
-    """Partners of at most ``_chunk_rows(n)`` rows by the full O(n^2) rule of
-    ``_pair_batch``; ``row_ids`` are their indices in the whole batch, and a
-    refusal names the first row that fails."""
-    idx = np.arange(rows.shape[1])
-    tol, real = _tolerance(rows)
-    # d[r, i, j] = |e_j - conj(e_i)| over complex i != j; rows with
-    # non-finite entries are refused, so inf - inf here is never used,
-    # and a difference that overflows leaves no partner within tol
-    with np.errstate(invalid="ignore", over="ignore"):
-        d = np.abs(rows[:, None, :] - np.conj(rows)[:, :, None])
-    d[real[:, :, None] | real[:, None, :]] = np.inf
-    d[:, idx, idx] = np.inf
-    # nearest and second-nearest distance; the second is the minimum once
-    # the nearest entry is masked, so no sorted copy of d is kept
-    near = np.argmin(d, axis=2)
-    d1 = np.take_along_axis(d, near[..., None], axis=2)[..., 0]
-    np.put_along_axis(d, near[..., None], np.inf, axis=2)
-    d2 = np.min(d, axis=2)
-    del d
-    mutual = np.take_along_axis(near, near, axis=1) == idx
-    ok = real | (mutual & (d1 < d2) & (d1 <= tol))
-    bad = np.flatnonzero(~(ok.all(axis=1) & np.isfinite(rows).all(axis=1)))
-    if bad.size:
-        raise ValueError(
-            f"spectrum row {row_ids[bad[0]]} cannot be paired: a complex eigenvalue has no "
-            "conjugate partner that is unique, mutual and within tolerance, or an entry "
-            "is not finite"
-        )
-    return np.where(real, idx, near)
 
 
 def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:

@@ -328,8 +328,12 @@ def _read_walk_config(path: Path) -> dict[str, str]:
     """The ``key = value`` lines of a walk config file, as strings."""
     if not path.exists():
         raise UsageError(f"config file {path} does not exist")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}")
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

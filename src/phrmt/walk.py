@@ -295,7 +295,10 @@ def rmt_decay_monte_carlo(
     angular component from the uniform one (signed weights +2 and -1, which
     keep total angular mass 1).  The excess-occupation mode sum for a delta
     start is evaluated at every site except the start and averaged; its
-    expectation equals ``rmt_decay_closed_form(t)`` for t >= 1.
+    expectation equals ``rmt_decay_closed_form(t)`` for t >= 1.  At t = 0
+    every mode term is 1, so each realization gives the delta start's own
+    excess scaled by N, -1: the estimate is exactly -1 with standard error 0
+    for more than one realization, where the closed form reads 1.
 
     The estimate is real, so it is computed in real arithmetic: with
     lambda = r e^{i theta}, Re[lambda^t] = r^t cos(t theta), and both angular

@@ -245,8 +245,9 @@ class TestBatchedPairing:
             assert sample.values.tobytes() == values.tobytes(), sample.klass
 
     def test_large_spectra_pair_one_row_per_step(self):
-        # from N = 256 blocks a step holds one row, so the pairing scratch is
-        # one row's distance matrix (24 bytes an entry) whatever the batch size
+        # from N = 256 blocks a step holds one row, and the pairing scratch
+        # stays below one row's distance matrix (24 bytes an entry) whatever
+        # the batch size
         spectra = blockcirc.batch_block_spectra(
             blockcirc.sample_ising_blocks(260, 16, np.random.default_rng(260))
         )
@@ -329,22 +330,38 @@ def _chain_spectra(count, seed):
     )
 
 
-class TestSortedScreen:
-    """``_pair_batch`` settles most rows from their eigenvalues sorted by
-    real part and sends the rest to the full rule; either way each row must
-    get the greedy oracle's partners, and a refusal must name the row by its
-    index in the whole batch."""
+def _wide_window_rows(spectra):
+    """Rows in which a complex eigenvalue is within the pairing tolerance, in
+    real part, of a complex eigenvalue other than its greedy partner."""
+    wide = []
+    for r, row in enumerate(spectra):
+        tol = oracles.PAIRING_RTOL * np.max(np.abs(row))
+        comp = np.flatnonzero(np.abs(row.imag) > tol)
+        close = np.abs(row.real[comp, None] - row.real[comp]) <= tol
+        close[np.arange(comp.size), np.arange(comp.size)] = False
+        partner = oracles.pair_conjugates(row)
+        close[np.arange(comp.size), np.searchsorted(comp, partner[comp])] = False
+        if close.any():
+            wide.append(r)
+    return wide
 
-    def test_non_partners_with_close_real_parts_go_to_the_full_rule(self):
+
+class TestSortedScreen:
+    """``_pair_batch`` sorts each row by real part and compares only the
+    complex eigenvalues within tol of each other in real part, however many
+    share that window; each row must get the greedy oracle's partners, and a
+    refusal must name the row by its index in the whole batch."""
+
+    def test_non_partners_with_close_real_parts_match_greedy(self):
         # tol is about 3e-9 here: the two pairs, and a third pair, have real
-        # parts within it of each other, so the screen cannot settle the rows
+        # parts within it of each other
         spectra = np.array(
             [
                 [1 + 1j, 1 - 1j, 1 + 5e-10 + 2j, 1 + 5e-10 - 2j, 3.0, -2.0],
                 [1 + 1j, 1 + 1e-9 + 2j, 1 + 2e-9 - 1j, 1 + 1e-9 - 2j, 1 + 1j * 1e-12, 3.0],
             ]
         )
-        assert not blockcirc._screen(spectra)[1].any()
+        assert _wide_window_rows(spectra) == [0, 1]
         assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
 
     def test_real_part_neighbour_that_is_no_conjugate_is_refused(self):
@@ -356,19 +373,45 @@ class TestSortedScreen:
 
     def test_chain_rows_with_equal_real_parts_across_blocks(self):
         # in these chain rows eigenvalues of two different blocks share
-        # their real part to within tol, so the screen defers them
+        # their real part to within tol
         spectra = _chain_spectra(300, 25)
-        deferred = np.flatnonzero(~blockcirc._screen(spectra)[1])
-        assert deferred.tolist() == [31, 244]
-        rows = spectra[deferred]
+        assert _wide_window_rows(spectra) == [31, 244]
+        rows = spectra[[31, 244]]
         assert np.array_equal(blockcirc._pair_batch(rows), _greedy_pairing(rows))
         # and the same with the real parts made exactly equal
         row = spectra[0].copy()
         partner = oracles.pair_conjugates(row)
         i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]
         row[[k, partner[k]]] = row[i].real + 1j * row[[k, partner[k]]].imag
-        assert not blockcirc._screen(row[None])[1][0]
+        assert _wide_window_rows(row[None]) == [0]
         assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
+
+    def test_three_pairs_on_one_real_part(self):
+        # six eigenvalues with one real part: every one is in the others' window
+        row = np.array([1 - 2j, 4.0, 1 + 3j, 1 + 1j, 1 - 3j, -1.0, 1 + 2j, 1 - 1j])
+        assert _pair(row).tolist() == [6, 1, 4, 7, 2, 5, 0, 3]
+        assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
+
+    def test_partner_beyond_the_nearest_real_part(self):
+        # sorted by real part: 1 + 1j, the other pair's two, then its partner
+        # three places on; its nearest neighbour by real part is no conjugate
+        row = np.array([1 + 1j, 1 + 1e-9 + 2j, 1 + 1e-9 - 2j, 1 + 2e-9 - 1j, 5.0])
+        assert _pair(row).tolist() == [3, 2, 1, 0, 4]
+        assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
+
+    def test_tie_in_a_wide_window_is_refused(self):
+        # row 2 holds one conjugate pair twice among three pairs on one real
+        # part: 1 + 2j has two conjugates at distance 0
+        spectra = np.array(
+            [
+                [1 + 1j, 1 - 1j, 1 + 2j, 1 - 2j, 1 + 3j, 1 - 3j],
+                [2.0, 1 + 1j, 1 - 1j, 3.0, 1 + 2j, 1 - 2j],
+                [1 + 1j, 1 - 1j, 1 + 2j, 1 - 2j, 1 + 2j, 1 - 2j],
+            ]
+        )
+        with pytest.raises(ValueError, match="spectrum row 2 "):
+            blockcirc._pair_batch(spectra)
+        assert np.array_equal(blockcirc._pair_batch(spectra[:2]), _greedy_pairing(spectra[:2]))
 
     @pytest.mark.parametrize("sampler", [blockcirc.sample_gaussian_blocks, blockcirc.sample_ising_blocks])
     def test_spectra_scaled_by_2_to_the_minus_500(self, sampler):
@@ -401,19 +444,25 @@ class TestSortedScreen:
         "sampler, low, high",
         [(blockcirc.sample_gaussian_blocks, 0, 0), (blockcirc.sample_ising_blocks, 1, 14)],
     )
-    def test_share_of_rows_sent_to_the_full_rule(self, monkeypatch, sampler, low, high):
-        # at most 14 of 300 (under 5 %); seed 25 sends 2 chain rows
-        sent = []
-        full = blockcirc._pair_full
-
-        def counting(rows, row_ids):
-            sent.extend(row_ids)
-            return full(rows, row_ids)
-
-        monkeypatch.setattr(blockcirc, "_pair_full", counting)
+    def test_share_of_rows_with_a_wide_window(self, sampler, low, high):
+        # at most 14 of 300 (under 5 %); seed 25 gives 2 chain rows
         spectra = blockcirc.batch_block_spectra(sampler(25, 300, np.random.default_rng(25)))
-        partner = blockcirc._pair_batch(spectra)
-        assert low <= len(sent) <= high
+        assert low <= len(_wide_window_rows(spectra)) <= high
+        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
+
+    def test_scratch_grows_with_the_row_length(self):
+        # 64 chain rows at N = 250: the pairing holds a few arrays of one
+        # step's rows, far below one row's 500 x 500 distance matrix (5.7 MiB)
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_ising_blocks(250, 64, np.random.default_rng(7))
+        )
+        tracemalloc.start()
+        try:
+            partner = blockcirc._pair_batch(spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert np.array_equal(partner, _greedy_pairing(spectra))
 
 

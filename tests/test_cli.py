@@ -514,6 +514,15 @@ class TestWalkCommand:
         code = run("walk", "--config", str(cfgfile), "--out", str(tmp_path / "c"))
         assert code == cli.EXIT_USAGE
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"sites = 22\n\xff\n")
+        out = tmp_path / "never"
+        assert run("walk", "--config", str(cfgfile), "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"config file {cfgfile} is not UTF-8" in err
+        assert not out.exists()
+
     def test_unknown_config_key_names_the_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("sites = 22\nsteps = 3\n")

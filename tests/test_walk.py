@@ -358,6 +358,15 @@ class TestDecayMonteCarlo:
         ratio = se_small / se_big
         assert 3.0 < ratio < 8.5  # ~sqrt(25) = 5 up to sampling noise
 
+    @pytest.mark.parametrize("n, realizations", [(3, 2), (5, 1000), (32, 3)])
+    def test_time_zero_is_the_delta_start_excess(self, n, realizations):
+        # every mode term is 1 at t = 0: each realization gives exactly -1,
+        # so the first Monte Carlo row of decay.csv is (-1, 0), not the
+        # closed form's 1
+        rng = np.random.default_rng(74)
+        assert walk.rmt_decay_monte_carlo(n, [0], realizations, [rng]) == [(-1.0, 0.0)]
+        assert walk.rmt_decay_closed_form(0) == pytest.approx(1.0)
+
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 50, 99, 100, 101, 200])
     def test_matches_complex_power_oracle(self, t):
         # numpy's complex power switches from repeated squaring to
