@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SpacingSample, Spectrum, _chunk_rows, _classify_batch, generalized_parity
+from .circulant import SpacingSample, Spectrum, _classify_batch, generalized_parity
 from .pseudo2x2 import eigenvalues2
 from .specfun import fourier
 
@@ -49,6 +49,19 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # eigenvalues are conjugates, within _RTOL * max |eigenvalue| of its spectrum,
 # so the pairing does not depend on the unit of the spectrum.
 _RTOL = 1e-9
+
+# Block entries (rows x N x 2 x 2) per transform-and-solve step of
+# ``batch_block_spectra``: under 1 MiB of temporaries whatever the batch.
+_SOLVE_STEP = 1 << 15
+
+# Matrix entries (rows x spectrum length squared) per vectorised step of
+# batch pairing: a few MB of scratch whatever the spectrum length.
+_CHUNK_ELEMS = 1 << 18
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows per pairing step for spectra of length n."""
+    return max(1, _CHUNK_ELEMS // (n * n))
 
 
 @dataclass(frozen=True)
@@ -100,12 +113,22 @@ def pseudo_orthogonality_residual_block(b: BlockCirculant) -> float:
 
 
 def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
-    """Spectra of many block circulants: (count, N, 2, 2) -> (count, 2N)."""
+    """Spectra of many block circulants: (count, N, 2, 2) -> (count, 2N).
+
+    The stack is transformed and solved in steps of rows, so beyond its
+    spectra a call holds one step's temporaries; a row's eigenvalues depend
+    on that row alone, so the steps do not change a bit of them.
+    """
     blocks = np.ascontiguousarray(blocks, dtype=complex)
     if blocks.ndim != 4 or blocks.shape[2:] != (2, 2):
         raise ValueError("expected shape (count, N, 2, 2)")
-    eigs = np.stack(eigenvalues2(fourier(blocks, axis=-3)), axis=-1)
-    return eigs.reshape(blocks.shape[0], -1)
+    count, n = blocks.shape[:2]
+    eigs = np.empty((count, n, 2), dtype=complex)
+    step = max(1, _SOLVE_STEP // max(4 * n, 1))
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        eigs[rows, :, 0], eigs[rows, :, 1] = eigenvalues2(fourier(blocks[rows], axis=-3))
+    return eigs.reshape(count, -1)
 
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:

@@ -216,14 +216,9 @@ def _as_samples(cc, rc, gen) -> tuple[SpacingSample, SpacingSample, SpacingSampl
     return SpacingSample("cc", cc), SpacingSample("rc", rc), SpacingSample("generic", gen)
 
 
-# Matrix entries (rows x spectrum length squared) per vectorised step of batch
-# pairing and classification: a few MB of scratch whatever the spectrum length.
-_CHUNK_ELEMS = 1 << 18
-
-
-def _chunk_rows(n: int) -> int:
-    """Rows per vectorised step for spectra of length n."""
-    return max(1, _CHUNK_ELEMS // (n * n))
+# Pair entries (rows x n(n-1)/2) per step of the class split: a few hundred
+# KiB of scratch whatever the spectrum length or batch size.
+_CLASS_STEP = 1 << 15
 
 
 def _classify_batch(
@@ -232,62 +227,73 @@ def _classify_batch(
     """Spacing classes of a (count, n) batch with one pairing ``partner`` for
     every row, shape (n,), or one per row, shape (count, n).
 
-    Each step fills a table of ``|e_i - e_j|`` over ``i < j``, in (i, j)
-    row-major order, and reads the classes from it: ``partner[i] == j``
-    (cc), ``i`` real and ``j`` complex (rc, at the table entry of ``{i, j}``,
-    since ``|e_j - e_i|`` is bitwise ``|e_i - e_j|``), and both complex and
-    not partners (generic).  So values come by row, then in (i, j) row-major
-    order, as from ``classify_spacings``.
+    Each step takes ``|e_i - e_j|`` over ``i < j``, pairs in (i, j) row-major
+    order, and reads the classes from them: ``partner[i] == j`` (cc), ``i``
+    real and ``j`` complex (rc, at the pair ``{i, j}``, since ``|e_j - e_i|``
+    is bitwise ``|e_i - e_j|``), and both complex and not partners (generic).
+    So values come by row, then in (i, j) row-major order, as from
+    ``classify_spacings``.  A pairing shared by every row fixes each class's
+    pair list, whose moduli go straight into the class's output; one pairing
+    per row selects from a table of every pair's modulus.
     """
     count, n = spectra.shape
     partner = partner.reshape(-1, n)
     idx = np.arange(n)
     iu, ju = np.triu_indices(n, k=1)
     m = iu.size
-    col = np.zeros((n, n), dtype=np.intp)  # table column of the pair {i, j}
+    col = np.zeros((n, n), dtype=np.intp)  # pair number of {i, j}
     col[iu, ju] = col[ju, iu] = np.arange(m)
-    # class sizes of a row with c complex and n - c real eigenvalues
-    c = np.broadcast_to(np.count_nonzero(partner != idx, axis=1), (count,))
+    # class sizes of a row with c complex and n - c real eigenvalues, for
+    # each pairing; a shared one holds for all count rows
+    c = np.count_nonzero(partner != idx, axis=1)
     sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
-    out = [np.empty(int(size.sum())) for size in sizes]
-    filled = [0, 0, 0]
-    step = _chunk_rows(n)
-    diff = np.empty((min(step, count), m), dtype=complex)
-    table = np.empty((min(step, count), m))
+    rows_each = count if len(partner) == 1 else 1
+    out = [np.empty(int(size.sum()) * rows_each) for size in sizes]
+    step = max(1, _CLASS_STEP // max(m, 1))
+    # e_i - e_j of a step: e_i gathered into it (mode="clip" lets ``take``
+    # write there directly; every index is valid), then e_j subtracted
+    diff = np.empty(min(step, count) * m, dtype=complex)
     if len(partner) == 1:
-        # a pairing shared by every row selects the same table columns
         part = partner[0]
         real = part == idx
         lead = np.flatnonzero(idx < part)
-        shared = (
-            col[lead, part[lead]],
-            col[np.ix_(idx[real], idx[~real])].ravel(),
-            np.flatnonzero(~real[iu] & ~real[ju] & (part[iu] != ju)),
-        )
+        shared = [
+            (iu[pairs], ju[pairs])
+            for pairs in (
+                col[lead, part[lead]],
+                col[np.ix_(idx[real], idx[~real])].ravel(),
+                np.flatnonzero(~real[iu] & ~real[ju] & (part[iu] != ju)),
+            )
+        ]
+        for start in range(0, count, step):
+            rows = spectra[start : start + step]
+            for k, (i, j) in enumerate(shared):
+                dest = out[k].reshape(count, i.size)[start : start + len(rows)]
+                d = diff[: dest.size].reshape(dest.shape)
+                rows.take(i, 1, out=d, mode="clip")
+                d -= rows.take(j, 1)
+                np.abs(d, out=dest)
+        return _as_samples(*out)
+    filled = [0, 0, 0]
+    table = np.empty((min(step, count), m))
     for start in range(0, count, step):
         rows = spectra[start : start + step]
         r = len(rows)
-        d, t = diff[:r], table[:r]
-        off = 0
-        for i in range(n - 1):
-            np.subtract(rows[:, i, None], rows[:, i + 1 :], out=d[:, off : off + n - 1 - i])
-            off += n - 1 - i
+        t = table[:r]
+        d = diff[: t.size].reshape(t.shape)
+        rows.take(iu, 1, out=d, mode="clip")
+        d -= rows.take(ju, 1)
         np.abs(d, out=t)
-        if len(partner) == 1:
-            for k, cols in enumerate(shared):
-                dest = out[k][filled[k] : filled[k] + r * cols.size]
-                np.take(t, cols, axis=1, out=dest.reshape(r, cols.size), mode="clip")
-                filled[k] += dest.size
-            continue
         part = partner[start : start + r]
-        real = part == idx
+        comp = part != idx
         row, i = np.nonzero(idx < part)
         cc = row, col[i, part[row, i]]
         # each real eigenvalue against the complex ones of its row
-        row, i = np.nonzero(real)
-        pick, j = np.nonzero(~real[row])
+        row, i = np.nonzero(~comp)
+        pick, j = np.nonzero(comp[row])
         rc = row[pick], col[i[pick], j]
-        generic = ~real[:, iu] & ~real[:, ju]
+        generic = comp.take(iu, 1)
+        generic &= comp.take(ju, 1)
         generic[cc] = False
         for k, values in enumerate((t[cc], t[rc], t[generic])):
             out[k][filled[k] : filled[k] + values.size] = values

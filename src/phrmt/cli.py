@@ -489,6 +489,18 @@ def _int_at_least(low: int, at_most: int | None = None):
     return parse
 
 
+def _realization_count(text: str) -> int:
+    """0 (closed form only) or at least 2: one realization has no standard
+    error, so its ``monte_carlo_stderr`` column would be all inf."""
+    value = _int_at_least(0)(text)
+    if value == 1:
+        raise argparse.ArgumentTypeError("must be 0 or >= 2 (one has no standard error), got 1")
+    return value
+
+
+_realization_count.__name__ = "integer"
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -594,9 +606,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_at_least(3), default=32, help="ring size for Monte Carlo")
     sp.add_argument(
         "--realizations",
-        type=_int_at_least(0),
+        type=_realization_count,
         default=0,
-        help="Monte Carlo realizations per time step (0 = closed form only)",
+        help="Monte Carlo realizations per time step: 0 (closed form only) or at least 2",
     )
     _add_common(sp)
     sp.set_defaults(func=cmd_rmt_decay)

@@ -73,8 +73,8 @@ class GofReport:
 
 
 # Values per slice of the sorted-order check and of the KS sup, so their
-# temporaries stay a few MiB whatever the sample size.
-_KS_SLICE = 2**18
+# temporaries stay a few hundred KiB whatever the sample size.
+_KS_SLICE = 2**15
 
 
 def _check_ascending(x: np.ndarray) -> None:
@@ -146,11 +146,15 @@ def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> G
         raise ValueError("empty sample")
     _check_ascending(x)
     sups = []
+    buf = np.empty(min(n, _KS_SLICE))
     for start in range(0, n, _KS_SLICE):
         stop = min(start + _KS_SLICE, n)
         f = np.asarray(cdf(x[start:stop]), dtype=float)
-        i = np.arange(start, stop)
-        sups += [np.max(f - i / n), np.max((i + 1) / n - f)]
+        grid = np.arange(start, stop + 1, dtype=float) / n  # i / n, then (i + 1) / n
+        gap = buf[: stop - start]
+        sups.append(np.max(np.subtract(f, grid[:-1], out=gap)))
+        sups.append(np.max(np.subtract(grid[1:], f, out=gap)))
+    # np.max, not max(): a NaN sup must stay NaN
     d = float(np.max(sups))
     return GofReport(
         ks_distance=d,

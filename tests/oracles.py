@@ -229,6 +229,15 @@ def whole_array_ks(x, cdf) -> float:
     return max(float(np.max(f - i / x.size)), float(np.max((i + 1) / x.size - f)))
 
 
+def whole_stack_block_spectra(blocks, fourier, eigenvalues2) -> np.ndarray:
+    """Spectra of a (count, N, 2, 2) stack with the block transform and the
+    2x2 solve each applied to the whole stack at once: the reference for the
+    library's stepped ``batch_block_spectra``.  It takes the library's own
+    transform and solver, since the steps must not change a bit of theirs."""
+    eigs = np.stack(eigenvalues2(fourier(blocks, axis=-3)), axis=-1)
+    return eigs.reshape(blocks.shape[0], -1)
+
+
 def quad_lower_gamma(a: float, z: float) -> float:
     """gamma(a, z) by adaptive quadrature of t^(a-1) e^-t."""
     if z == 0.0:

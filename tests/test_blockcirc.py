@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from phrmt import blockcirc, circulant, stats
+from phrmt import blockcirc, circulant, pseudo2x2, seeding, stats
 from phrmt.blockcirc import BlockCirculant
+from phrmt.specfun import fourier
 
 
 def _gauss_instance(n, rng):
@@ -101,6 +102,43 @@ class TestEigenvaluesBlock:
                 mine = blockcirc.eigenvalues_block(b).eigs
                 ref = np.linalg.eigvals(b.dense())
                 assert oracles.multiset_distance(mine, ref) <= 1e-9
+
+
+_SAMPLERS = {
+    "gaussian": blockcirc.sample_gaussian_blocks,
+    "ising": blockcirc.sample_ising_blocks,
+}
+
+
+class TestSteppedSpectra:
+    """The stack is transformed and solved in row steps, with the spectra of
+    the whole-stack form, bit for bit, and one step's temporaries."""
+
+    @pytest.mark.parametrize("n", [5, 25, 250])
+    @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
+    def test_steps_match_the_whole_stack(self, ensemble, n):
+        # two full steps and a partial one; a row of the second step is
+        # scaled below the solver's unscaled range, so that step is solved
+        # scaled, as the whole stack is, and the others are not
+        step = blockcirc._SOLVE_STEP // (4 * n)
+        blocks = _SAMPLERS[ensemble](n, 2 * step + 3, np.random.default_rng(n))
+        blocks[step + 1] *= 2.0**-700
+        got = blockcirc.batch_block_spectra(blocks)
+        want = oracles.whole_stack_block_spectra(blocks, fourier, pseudo2x2.eigenvalues2)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
+    def test_scratch_is_one_step(self, ensemble):
+        # one sampler chunk at N = 25: beyond its 6.25 MiB of spectra the call
+        # holds about 0.9 MiB (15.6 MiB when the whole stack was solved at once)
+        blocks = _SAMPLERS[ensemble](25, seeding.CHUNK, np.random.default_rng(8))
+        tracemalloc.start()
+        try:
+            spectra = blockcirc.batch_block_spectra(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spectra.nbytes + 2 * 2**20
 
 
 class TestSamplers:

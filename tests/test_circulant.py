@@ -188,10 +188,10 @@ class TestClassifySpacings:
         # the batch path equals the per-spectrum path, bit for bit, row after
         # row; steps are shrunk so a few thousand rows span two full steps
         # and a partial one (two rows a step at n = 100)
-        monkeypatch.setattr(circulant, "_CHUNK_ELEMS", 20_000)
+        monkeypatch.setattr(circulant, "_CLASS_STEP", 10_000)
         rng = np.random.default_rng(41)
         for n in (3, 4, 5, 8, 100):
-            count = 2 * circulant._chunk_rows(n) + 1
+            count = 2 * (circulant._CLASS_STEP // (n * (n - 1) // 2)) + 1
             rows = rng.normal(size=(count, n))
             batch = circulant.classify_spacings_batch(circulant.batch_spectra(rows))
             singles = [
@@ -202,8 +202,9 @@ class TestClassifySpacings:
                 assert sample.values.tobytes() == want.tobytes(), (n, sample.klass)
 
     def test_batch_scratch_is_bounded(self):
-        # the classes are split in row steps, so beyond its output the call
-        # needs a few steps' worth of scratch (about 4 MiB each)
+        # the classes are split in steps of about 2**15 pairs, so beyond its
+        # 37.8 MiB of output the call holds under 2 MiB (3.3 MiB with
+        # 2**18-entry steps)
         rng = np.random.default_rng(42)
         spectra = circulant.batch_spectra(circulant.sample_rows(100, 1.0, 1000, rng))
         tracemalloc.start()
@@ -213,7 +214,7 @@ class TestClassifySpacings:
         finally:
             tracemalloc.stop()
         output = sum(sample.values.nbytes for sample in samples)
-        assert peak < output + 16 * 2**20
+        assert peak < output + 2 * 2**20
 
 
 class TestSpacingLaws:

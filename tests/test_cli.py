@@ -214,6 +214,8 @@ class TestBadArguments:
             # past the closed form's float range
             (["rmt-decay", "--t-max", "5870", "--realizations", "10"], "--t-max"),
             (["rmt-decay", "--t-max", "6000", "--realizations", "10"], "--t-max"),
+            # one realization has no standard error
+            (["rmt-decay", "--t-max", "3", "--n", "3", "--realizations", "1"], "--realizations"),
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv, flag):
