@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SpacingSample, Spectrum, _classify_batch, generalized_parity
+from .circulant import SpacingSample, Spectrum, _classify_batch, _step_rows, generalized_parity
 from .pseudo2x2 import eigenvalues2
 from .specfun import fourier
 
@@ -49,19 +49,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # eigenvalues are conjugates, within _RTOL * max |eigenvalue| of its spectrum,
 # so the pairing does not depend on the unit of the spectrum.
 _RTOL = 1e-9
-
-# Block entries (rows x N x 2 x 2) per transform-and-solve step of
-# ``batch_block_spectra``: under 1 MiB of temporaries whatever the batch.
-_SOLVE_STEP = 1 << 15
-
-# Matrix entries (rows x spectrum length squared) per vectorised step of
-# batch pairing: a few MB of scratch whatever the spectrum length.
-_CHUNK_ELEMS = 1 << 18
-
-
-def _chunk_rows(n: int) -> int:
-    """Rows per pairing step for spectra of length n."""
-    return max(1, _CHUNK_ELEMS // (n * n))
 
 
 @dataclass(frozen=True)
@@ -85,11 +72,8 @@ class BlockCirculant:
     def dense(self) -> np.ndarray:
         """Full 2N x 2N matrix; block-row r is the right-shift by r blocks."""
         n = self.n_blocks
-        out = np.zeros((2 * n, 2 * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = self.blocks[(j - i) % n]
-        return out
+        i, j = np.indices((n, n))
+        return self.blocks[(j - i) % n].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 
 def sigma_parity(n: int) -> np.ndarray:
@@ -124,7 +108,7 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
         raise ValueError("expected shape (count, N, 2, 2)")
     count, n = blocks.shape[:2]
     eigs = np.empty((count, n, 2), dtype=complex)
-    step = max(1, _SOLVE_STEP // max(4 * n, 1))
+    step = _step_rows(4 * n)  # block entries per row
     for start in range(0, count, step):
         rows = slice(start, start + step)
         eigs[rows, :, 0], eigs[rows, :, 1] = eigenvalues2(fourier(blocks[rows], axis=-3))
@@ -180,8 +164,7 @@ def sample_ising_blocks(
     bmat[:, 1, 1] = -0.5
     bmat[:, 0, 1] = 1j * b1
     bmat[:, 1, 0] = 1j * b2
-    for p in range(1, n - 1):
-        blocks[:, p] = bmat
+    blocks[:, 1 : n - 1] = bmat[:, None]
     blocks[:, n - 1] = np.conj(np.swapaxes(bmat, 1, 2))
     return blocks
 
@@ -202,8 +185,11 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
     pair is further than tol apart (see docs/decisions.md).
     """
     count, n = spectra.shape
-    partner = np.empty((count, n), dtype=int)
-    step = _chunk_rows(n)
+    partner = np.empty((count, n), dtype=np.int32)  # every index is below n
+    # a step holds about eight arrays the length of its rows' eigenvalues
+    # (sort keys, order, flat indices, sorted values, tolerances, nearest
+    # distances, mates)
+    step = _step_rows(8 * n)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
         size = rows.size

@@ -216,9 +216,15 @@ def _as_samples(cc, rc, gen) -> tuple[SpacingSample, SpacingSample, SpacingSampl
     return SpacingSample("cc", cc), SpacingSample("rc", rc), SpacingSample("generic", gen)
 
 
-# Pair entries (rows x n(n-1)/2) per step of the class split: a few hundred
-# KiB of scratch whatever the spectrum length or batch size.
-_CLASS_STEP = 1 << 15
+# Entries per step of every row-stepped pass of the spacing pipeline (block
+# transform-and-solve, conjugate pairing, class split, KS and order check): a
+# few hundred KiB of scratch whatever the spectrum length or batch size.
+_STEP = 2**15
+
+
+def _step_rows(width: int) -> int:
+    """Rows per step of a pass that holds ``width`` entries per row."""
+    return max(1, _STEP // max(width, 1))
 
 
 def _classify_batch(
@@ -249,7 +255,7 @@ def _classify_batch(
     sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
     rows_each = count if len(partner) == 1 else 1
     out = [np.empty(int(size.sum()) * rows_each) for size in sizes]
-    step = max(1, _CLASS_STEP // max(m, 1))
+    step = _step_rows(m)
     # e_i - e_j of a step: e_i gathered into it (mode="clip" lets ``take``
     # write there directly; every index is valid), then e_j subtracted
     diff = np.empty(min(step, count) * m, dtype=complex)

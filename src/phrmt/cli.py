@@ -276,6 +276,7 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         # block spectra are paired numerically; draws that overflow or
         # underflow leave rows with no unambiguous pairing
         raise UsageError(f"{exc}; {scale_flag} is out of range")
+    del spectra  # only the split reads the spectra
     if not any(sample.values.size for sample in samples.values()):
         # the pairing tolerance is relative to the largest eigenvalue, so this
         # needs a spectrum whose imaginary parts are tiny against it: the
@@ -298,9 +299,7 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             values = stats.normalize_unit_mean(sample).values
         except ValueError as exc:
             raise UsageError(f"{klass} spacings: {exc}; {scale_flag} is out of range")
-        # a finite positive mean of nonnegative spacings bounds every
-        # normalised value by the class size, so no finiteness check is needed
-        values.sort()
+        _sort_finite(values, f"{klass} spacings", scale_flag)
         files[f"spacing_{klass}.csv"] = _histogram_csv(
             values, args.bins, 5.0, analytic_pdf=_CLASS_PDFS[klass]
         )

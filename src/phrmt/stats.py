@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circulant
-from .circulant import SpacingSample
+from .circulant import SpacingSample, _step_rows
 from .specfun import erf
 
 __all__ = [
@@ -72,17 +72,13 @@ class GofReport:
     reference_only: bool = False
 
 
-# Values per slice of the sorted-order check and of the KS sup, so their
-# temporaries stay a few hundred KiB whatever the sample size.
-_KS_SLICE = 2**15
-
-
 def _check_ascending(x: np.ndarray) -> None:
     """Raise ValueError unless ``x`` is ascending in ``np.sort``'s order (NaN
     last).  Each slice is checked together with the value before it, so a
     descent across a slice boundary is found too."""
-    for start in range(0, x.size, _KS_SLICE):
-        s = x[max(start - 1, 0) : start + _KS_SLICE]
+    step = _step_rows(1)
+    for start in range(0, x.size, step):
+        s = x[max(start - 1, 0) : start + step]
         ok = s[:-1] <= s[1:]
         # a pair fails ``<=`` by descending or by holding NaN; only a NaN
         # after its neighbour is in order
@@ -146,9 +142,10 @@ def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> G
         raise ValueError("empty sample")
     _check_ascending(x)
     sups = []
-    buf = np.empty(min(n, _KS_SLICE))
-    for start in range(0, n, _KS_SLICE):
-        stop = min(start + _KS_SLICE, n)
+    step = _step_rows(1)
+    buf = np.empty(min(n, step))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         f = np.asarray(cdf(x[start:stop]), dtype=float)
         grid = np.arange(start, stop + 1, dtype=float) / n  # i / n, then (i + 1) / n
         gap = buf[: stop - start]

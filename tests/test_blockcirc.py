@@ -120,7 +120,7 @@ class TestSteppedSpectra:
         # two full steps and a partial one; a row of the second step is
         # scaled below the solver's unscaled range, so that step is solved
         # scaled, as the whole stack is, and the others are not
-        step = blockcirc._SOLVE_STEP // (4 * n)
+        step = circulant._step_rows(4 * n)
         blocks = _SAMPLERS[ensemble](n, 2 * step + 3, np.random.default_rng(n))
         blocks[step + 1] *= 2.0**-700
         got = blockcirc.batch_block_spectra(blocks)
@@ -282,15 +282,15 @@ class TestBatchedPairing:
         for sample, values in zip(got, _greedy_classes(spectra)):
             assert sample.values.tobytes() == values.tobytes(), sample.klass
 
-    def test_large_spectra_pair_one_row_per_step(self):
-        # from N = 256 blocks a step holds one row, and the pairing scratch
-        # stays below one row's distance matrix (24 bytes an entry) whatever
-        # the batch size
+    def test_large_spectra_pair_in_small_steps(self):
+        # at N = 260 blocks a step holds 7 rows, so 16 rows are two full
+        # steps and a partial one, and the pairing scratch stays below one
+        # row's distance matrix (24 bytes an entry) whatever the batch size
         spectra = blockcirc.batch_block_spectra(
             blockcirc.sample_ising_blocks(260, 16, np.random.default_rng(260))
         )
         n = spectra.shape[1]
-        assert blockcirc._chunk_rows(n) == 1
+        assert circulant._step_rows(8 * n) == 7
         tracemalloc.start()
         try:
             partner = blockcirc._pair_batch(spectra)
@@ -464,11 +464,11 @@ class TestSortedScreen:
         assert np.array_equal(spec.partner, oracles.pair_conjugates(spec.eigs))
 
     def test_tie_in_a_later_step_names_its_batch_row(self):
-        # 104 rows a step at N = 25: row 417 is the second row of the fifth step
+        # 81 rows a step at N = 25: row 417 is the 13th row of the sixth step
         spectra = blockcirc.batch_block_spectra(
             blockcirc.sample_gaussian_blocks(25, 600, np.random.default_rng(417))
         )
-        assert blockcirc._chunk_rows(spectra.shape[1]) == 104
+        assert circulant._step_rows(8 * spectra.shape[1]) == 81
         row = spectra[417]
         partner = oracles.pair_conjugates(row)
         i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]
@@ -501,6 +501,16 @@ class TestSortedScreen:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert np.array_equal(partner, _greedy_pairing(spectra))
+
+    def test_partners_are_four_byte_indices(self):
+        # every index is below 2N, and the partners stay alive through the
+        # whole class split, so they take 4 bytes an eigenvalue, not 8
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_ising_blocks(25, 300, np.random.default_rng(9))
+        )
+        partner = blockcirc._pair_batch(spectra)
+        assert partner.dtype.itemsize == 4
         assert np.array_equal(partner, _greedy_pairing(spectra))
 
 

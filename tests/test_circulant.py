@@ -188,10 +188,10 @@ class TestClassifySpacings:
         # the batch path equals the per-spectrum path, bit for bit, row after
         # row; steps are shrunk so a few thousand rows span two full steps
         # and a partial one (two rows a step at n = 100)
-        monkeypatch.setattr(circulant, "_CLASS_STEP", 10_000)
+        monkeypatch.setattr(circulant, "_STEP", 10_000)
         rng = np.random.default_rng(41)
         for n in (3, 4, 5, 8, 100):
-            count = 2 * (circulant._CLASS_STEP // (n * (n - 1) // 2)) + 1
+            count = 2 * circulant._step_rows(n * (n - 1) // 2) + 1
             rows = rng.normal(size=(count, n))
             batch = circulant.classify_spacings_batch(circulant.batch_spectra(rows))
             singles = [

@@ -115,7 +115,7 @@ class TestKsStatistic:
 
     @pytest.mark.parametrize("slice_", [2, 7])
     def test_descent_across_slice_boundary_rejected(self, monkeypatch, slice_):
-        monkeypatch.setattr(stats, "_KS_SLICE", slice_)
+        monkeypatch.setattr(circulant, "_STEP", slice_)
         x = np.arange(3.0 * slice_)
         # swap the last value of the first slice with the first of the next:
         # each slice is still ascending on its own
@@ -194,7 +194,7 @@ class TestSortedPassMatchesOracles:
     @pytest.mark.parametrize("slice_", [1, 2, 7, 10**6])
     @pytest.mark.parametrize("nan", [False, True], ids=["no-nan", "nan"])
     def test_histogram(self, monkeypatch, slice_, nan):
-        monkeypatch.setattr(stats, "_KS_SLICE", slice_)
+        monkeypatch.setattr(circulant, "_STEP", slice_)
         x = _edge_case_sample(nan)
         counts, n_out = oracles.binned_histogram(x, _EDGES)
         h = stats.histogram(x, _EDGES)
@@ -206,7 +206,7 @@ class TestSortedPassMatchesOracles:
     @pytest.mark.parametrize("law", sorted(_CDFS))
     @pytest.mark.parametrize("nan", [False, True], ids=["no-nan", "nan"])
     def test_ks(self, monkeypatch, slice_, law, nan):
-        monkeypatch.setattr(stats, "_KS_SLICE", slice_)
+        monkeypatch.setattr(circulant, "_STEP", slice_)
         x = _edge_case_sample(nan)
         expect = oracles.whole_array_ks(x, _CDFS[law])
         got = stats.ks_statistic(x, _CDFS[law]).ks_distance
