@@ -394,7 +394,10 @@ def cmd_rmt_decay(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         w = min(_cpu_threads(), ts.size)
 
         def run(k):
-            return walk.rmt_decay_monte_carlo(args.n, ts[k::w], args.realizations, rngs[k::w])
+            return [
+                walk.rmt_decay_monte_carlo(args.n, int(t), args.realizations, g)
+                for t, g in zip(ts[k::w], rngs[k::w])
+            ]
 
         for k, part in enumerate(_pool_map(run, w, range(w))):
             mc[k::w], se[k::w] = zip(*part)

@@ -26,7 +26,7 @@ theta = 0 (real-axis) angular mode from the otherwise uniform phase density.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -238,16 +238,21 @@ def rmt_decay_asymptotic(t: int) -> float:
 _SLICE = 2**13
 
 
-def _fill_decay_moduli(out: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill ``out`` with moduli under the decay law's radial density.
+def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Eigenvalue moduli under the decay law's radial density.
+
+    Density proportional to r^2 exp(-pi r^2/4) on [0, 1]: the Rayleigh
+    modulus law times the polar measure factor r, truncated to the stochastic
+    disk.  Sampled by rejection from the uniform envelope (the density is
+    increasing on [0, 1], so the envelope constant is its value at 1).
 
     A rejection round of m candidates takes the values of two whole m-draws:
     r from ``rng``, u from a copy of its bit generator advanced by m, both
-    ``_SLICE`` at a time until ``out`` is full; then ``rng`` skips to where
-    the two draws end.  So ``advance(k)`` must skip k doubles, as PCG64's
-    (from ``default_rng`` or ``seeding.spawn_generators``) does.
+    ``_SLICE`` at a time until the result is full; then ``rng`` skips to
+    where the two draws end.  So ``advance(k)`` must skip k doubles, as
+    PCG64's (from ``default_rng`` or ``seeding.spawn_generators``) does.
     """
-    count = out.size
+    out = np.empty(count)
     have = 0
     fmax = math.exp(-math.pi / 4.0)
     rbuf, ubuf = np.empty(_SLICE), np.empty(_SLICE)
@@ -266,31 +271,17 @@ def _fill_decay_moduli(out: np.ndarray, rng: np.random.Generator) -> None:
             have += take
             drawn += r.size
         rng.bit_generator.advance(2 * m - drawn)
-
-
-def sample_decay_moduli(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Eigenvalue moduli under the decay law's radial density.
-
-    Density proportional to r^2 exp(-pi r^2/4) on [0, 1]: the Rayleigh
-    modulus law times the polar measure factor r, truncated to the stochastic
-    disk.  Sampled by rejection from the uniform envelope (the density is
-    increasing on [0, 1], so the envelope constant is its value at 1).
-    """
-    out = np.empty(count)
-    _fill_decay_moduli(out, rng)
     return out
 
 
 def rmt_decay_monte_carlo(
-    n: int,
-    steps: Sequence[int],
-    realizations: int,
-    rngs: Sequence[np.random.Generator],
-) -> list[tuple[float, float]]:
-    """Monte Carlo estimate (mean, standard error) of the scaled decay law.
+    n: int, t: int, realizations: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Monte Carlo estimate (mean, standard error) of the scaled decay law
+    at step t.
 
-    Each realization draws N-1 synthetic eigenvalues: moduli from the
-    ``sample_decay_moduli`` law and phases uniform on (-pi, pi], with the
+    Each realization draws N-1 synthetic eigenvalues: moduli from
+    ``sample_decay_moduli`` and phases uniform on (-pi, pi], with the
     stationary mode excluded by subtracting the real-axis (theta = 0)
     angular component from the uniform one (signed weights +2 and -1, which
     keep total angular mass 1).  The excess-occupation mode sum for a delta
@@ -306,42 +297,31 @@ def rmt_decay_monte_carlo(
     these real parts, so this equals the real part of sum lambda^t to
     round-off, without forming any complex power.
 
-    Each step draws from its own generator in ``rngs``; one (mean, stderr)
-    is returned per step, in order, each equal to the call for that step
-    alone.  The moduli (realizations (N-1) floats) are allocated once per
-    call and reused on every step; their draws, the phases, powers and row
-    sums run over slices of ``_SLICE`` values.
+    The phases, powers and row sums run over slices of ``_SLICE`` values.
     """
-    steps = [int(s) for s in steps]
     if n < 3:
         raise ValueError("need at least 3 sites")
     if realizations < 1:
         raise ValueError("need at least one realization")
-    if min(steps, default=0) < 0:
+    if t < 0:
         raise ValueError("time must be nonnegative")
-    if len(rngs) != len(steps):
-        raise ValueError("need one generator per time step")
     modes = n - 1
-    moduli = np.empty(realizations * modes)
+    moduli = sample_decay_moduli(realizations * modes, rng)
     est = np.empty(realizations)
     rows = max(1, _SLICE // modes)
     # Site average over j != 0 of the mode sum: sum_{j != 0} omega_j^l = -1
     # for every l >= 1, so the average collapses to a plain mode sum.
     site_factor = -1.0 / (n * (n - 1))
-    results = []
-    for s, g in zip(steps, rngs):
-        _fill_decay_moduli(moduli, g)
-        # the phases follow all the moduli in the stream; row slices of the
-        # whole (realizations, N-1) draw give the same values
-        for lo in range(0, realizations, rows):
-            hi = min(lo + rows, realizations)
-            r = moduli[lo * modes : hi * modes].reshape(hi - lo, modes)
-            theta = g.uniform(-math.pi, math.pi, size=r.shape)
-            rt = r**s
-            s_uniform = (rt * np.cos(s * theta)).sum(axis=1) * site_factor
-            s_axis = rt.sum(axis=1) * site_factor
-            est[lo:hi] = n * (2.0 * s_uniform - s_axis)
-        mean = float(est.mean())
-        stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
-        results.append((mean, stderr))
-    return results
+    # the phases follow all the moduli in the stream; row slices of the
+    # whole (realizations, N-1) draw give the same values
+    for lo in range(0, realizations, rows):
+        hi = min(lo + rows, realizations)
+        r = moduli[lo * modes : hi * modes].reshape(hi - lo, modes)
+        theta = rng.uniform(-math.pi, math.pi, size=r.shape)
+        rt = r**t
+        s_uniform = (rt * np.cos(t * theta)).sum(axis=1) * site_factor
+        s_axis = rt.sum(axis=1) * site_factor
+        est[lo:hi] = n * (2.0 * s_uniform - s_axis)
+    mean = float(est.mean())
+    stderr = float(est.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else math.inf
+    return mean, stderr

@@ -34,11 +34,6 @@ KEEP = {
     "pseudo2x2.metric_of": "oracle",
     "pseudo2x2.diagonalizer": "oracle",
     "pseudo2x2.pseudo_hermiticity_residual": "oracle",
-    # the decay estimator's moduli draw on its own, into one new array; the
-    # tests check the radial law's moments and the stream position it leaves
-    # with it, and replay the estimator's draws with it against the
-    # complex-power oracle
-    "walk.sample_decay_moduli": "oracle",
 }
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}

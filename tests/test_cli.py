@@ -119,12 +119,15 @@ class TestDeterminism:
         names = ["spacing_cc.csv", "spacing_rc.csv", "spacing_generic.csv"]
         assert _read_bytes(tmp_path / "a", names) == _read_bytes(tmp_path / "b", names)
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        args = ["spacing2x2", "--family", "f1", "--count", "20000", "--seed", "4"]
-        run(*args, "--out", str(tmp_path / "t1"), "--threads", "1")
-        run(*args, "--out", str(tmp_path / "t4"), "--threads", "4")
-        a = (tmp_path / "t1" / "spacing2x2_f1.csv").read_bytes()
-        b = (tmp_path / "t4" / "spacing2x2_f1.csv").read_bytes()
+    @pytest.mark.parametrize("family", ["f1", "f2", "f3", "f4", "f5"])
+    def test_thread_count_does_not_change_output(self, tmp_path, family):
+        # 20000 draws are three sampling chunks, each with its own
+        # family_matrix and eigenvalues2 calls
+        args = ["spacing2x2", "--family", family, "--count", "20000", "--seed", "4"]
+        assert run(*args, "--out", str(tmp_path / "t1"), "--threads", "1") == cli.EXIT_OK
+        assert run(*args, "--out", str(tmp_path / "t4"), "--threads", "4") == cli.EXIT_OK
+        a = (tmp_path / "t1" / f"spacing2x2_{family}.csv").read_bytes()
+        b = (tmp_path / "t4" / f"spacing2x2_{family}.csv").read_bytes()
         assert a == b
 
     def test_decay_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
@@ -136,6 +139,24 @@ class TestDeterminism:
             assert run(*args, "--out", str(tmp_path / f"w{cpus}")) == cli.EXIT_OK
             csvs.append((tmp_path / f"w{cpus}" / "decay.csv").read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
+
+    def test_decay_estimates_one_step_per_call(self, tmp_path, monkeypatch):
+        # the benchmark's tracer counts calls by wrapping these module
+        # attributes: one estimate and one moduli draw per step, on any
+        # worker count
+        calls = []
+        names = ["rmt_decay_monte_carlo", "sample_decay_moduli"]
+        for name in names:
+
+            def counting(*a, _fn=getattr(cli.walk, name), _name=name):
+                calls.append(_name)  # one append is atomic across the workers
+                return _fn(*a)
+
+            monkeypatch.setattr(cli.walk, name, counting)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        args = ["rmt-decay", "--t-max", "7", "--n", "9", "--realizations", "50", "--seed", "6"]
+        assert run(*args, "--out", str(tmp_path / "out")) == cli.EXIT_OK
+        assert sorted(calls) == [names[0]] * 8 + [names[1]] * 8
 
     def test_replay_reproduces_csv(self, tmp_path):
         out = tmp_path / "orig"

@@ -1,3 +1,4 @@
+import argparse
 import math
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from scipy import integrate
 
 import oracles
-from phrmt import walk
+from phrmt import cli, walk
 from phrmt.walk import WalkConfig, WalkState
 
 # Fig-4-style ring: 22 sites, stay 0.2, right 0.24, left 0.56
@@ -347,14 +348,14 @@ class TestDecayMonteCarlo:
     def test_three_sigma_agreement_with_closed_form(self):
         rng = np.random.default_rng(72)
         for t in (2, 5, 10):
-            ((mean, se),) = walk.rmt_decay_monte_carlo(32, [t], 100_000, [rng])
+            mean, se = walk.rmt_decay_monte_carlo(32, t, 100_000, rng)
             cf = walk.rmt_decay_closed_form(t)
             assert abs(mean - cf) <= 3.0 * se, (t, mean, cf, se)
 
     def test_variance_shrinks_with_realizations(self):
         rng = np.random.default_rng(73)
-        ((_, se_small),) = walk.rmt_decay_monte_carlo(16, [4], 2_000, [rng])
-        ((_, se_big),) = walk.rmt_decay_monte_carlo(16, [4], 50_000, [rng])
+        _, se_small = walk.rmt_decay_monte_carlo(16, 4, 2_000, rng)
+        _, se_big = walk.rmt_decay_monte_carlo(16, 4, 50_000, rng)
         ratio = se_small / se_big
         assert 3.0 < ratio < 8.5  # ~sqrt(25) = 5 up to sampling noise
 
@@ -364,7 +365,7 @@ class TestDecayMonteCarlo:
         # so the first Monte Carlo row of decay.csv is (-1, 0), not the
         # closed form's 1
         rng = np.random.default_rng(74)
-        assert walk.rmt_decay_monte_carlo(n, [0], realizations, [rng]) == [(-1.0, 0.0)]
+        assert walk.rmt_decay_monte_carlo(n, 0, realizations, rng) == (-1.0, 0.0)
         assert walk.rmt_decay_closed_form(0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("t", [0, 1, 2, 3, 50, 99, 100, 101, 200])
@@ -376,7 +377,7 @@ class TestDecayMonteCarlo:
         r = walk.sample_decay_moduli(realizations * (n - 1), rng).reshape(realizations, n - 1)
         theta = rng.uniform(-math.pi, math.pi, size=(realizations, n - 1))
         want = oracles.complex_power_decay_estimate(r, theta, t)
-        (got,) = walk.rmt_decay_monte_carlo(n, [t], realizations, [np.random.default_rng(74)])
+        got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(74))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     # R = 1000 at N = _SLICE + 2 is left out: the oracle's whole draws alone
@@ -386,21 +387,14 @@ class TestDecayMonteCarlo:
         [(3, 1), (3, 7), (3, 1000), (32, 1), (32, 7), (32, 1000),
          (walk._SLICE + 2, 1), (walk._SLICE + 2, 7)],
     )
-    def test_step_sequence_matches_per_step_calls_and_whole_array_oracle(self, n, realizations):
-        steps = [0, 1, 2, 3, 100, 200]
-        seeds = [[n, realizations, t] for t in steps]
-        got = walk.rmt_decay_monte_carlo(
-            n, steps, realizations, [np.random.default_rng(s) for s in seeds]
-        )
-        assert len(got) == len(steps)
-        for t, seed, pair in zip(steps, seeds, got):
-            (alone,) = walk.rmt_decay_monte_carlo(
-                n, [t], realizations, [np.random.default_rng(seed)]
-            )
+    def test_sliced_steps_match_whole_array_oracle(self, n, realizations):
+        for t in (0, 1, 2, 3, 100, 200):
+            seed = [n, realizations, t]
+            got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(seed))
             want = oracles.whole_array_decay_estimate(
                 n, t, realizations, np.random.default_rng(seed)
             )
-            assert [x.hex() for x in pair] == [x.hex() for x in alone] == [x.hex() for x in want]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_second_rejection_round_matches_oracle(self):
         # at seed 343, 45 moduli need a second round: the first round's 128
@@ -409,9 +403,7 @@ class TestDecayMonteCarlo:
         count = realizations * (n - 1)
         assert _first_round_accepted(count, seed) < count
         for t in (1, 7):
-            (got,) = walk.rmt_decay_monte_carlo(
-                n, [t], realizations, [np.random.default_rng(seed)]
-            )
+            got = walk.rmt_decay_monte_carlo(n, t, realizations, np.random.default_rng(seed))
             want = oracles.whole_array_decay_estimate(
                 n, t, realizations, np.random.default_rng(seed)
             )
@@ -435,14 +427,20 @@ class TestDecayMonteCarlo:
         assert g.random(3).tobytes() == want.random(3).tobytes()
 
     @pytest.mark.parametrize("steps", [50, 1], ids=["50-steps", "1-step"])
-    def test_scratch_is_allocated_once_per_call(self, steps):
-        # the moduli, R (N-1) floats, plus 64 KiB slices and R-sized sums
+    def test_scratch_is_allocated_once_per_call(self, steps, monkeypatch):
+        # the moduli, R (N-1) floats, plus 64 KiB slices and R-sized sums; on
+        # one worker, rmt-decay's steps run one after another, each call
+        # freeing its scratch before the next
         n, realizations = 32, 2000
         bound = 1.0 * realizations * (n - 1) * 8 + 2**20
-        rngs = [np.random.default_rng(s) for s in range(steps)]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        args = argparse.Namespace(t_max=steps - 1, n=n, realizations=realizations, seed=0)
         tracemalloc.start()
         try:
-            walk.rmt_decay_monte_carlo(n, list(range(steps)), realizations, rngs)
+            if steps == 1:
+                walk.rmt_decay_monte_carlo(n, 0, realizations, np.random.default_rng(0))
+            else:
+                cli.cmd_rmt_decay(args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -451,10 +449,8 @@ class TestDecayMonteCarlo:
     def test_domain(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(8, [1, 2], 10, [rng])
+            walk.rmt_decay_monte_carlo(2, 1, 10, rng)
         with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(2, [1], 10, [rng])
+            walk.rmt_decay_monte_carlo(8, -1, 10, rng)
         with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(8, [-1], 10, [rng])
-        with pytest.raises(ValueError):
-            walk.rmt_decay_monte_carlo(8, [1], 0, [rng])
+            walk.rmt_decay_monte_carlo(8, 1, 0, rng)
