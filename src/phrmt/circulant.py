@@ -39,7 +39,6 @@ __all__ = [
     "eigenvalues",
     "batch_spectra",
     "sample_rows",
-    "classify_spacings",
     "classify_spacings_batch",
     "pdf_cc",
     "pdf_rc",
@@ -183,27 +182,6 @@ def sample_rows(n: int, weight: float, count: int, rng: np.random.Generator) -> 
     return rng.normal(0.0, entry_sigma(n, weight), size=(count, n))
 
 
-def classify_spacings(spec: Spectrum) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Split all qualifying eigenvalue pairs of one spectrum into cc/rc/generic.
-
-    Every unordered pair contributes at most once: conjugate pairs to ``cc``,
-    (real, complex) pairs to ``rc``, non-conjugate complex pairs to
-    ``generic``.  Real-real pairs belong to no class and are dropped.
-    Built from index lists, not masks: the reference of ``_classify_batch``.
-    """
-    eigs, partner = spec.eigs, spec.partner
-    idx = np.arange(spec.n)
-    real_idx = np.flatnonzero(partner == idx)
-    lead = np.flatnonzero(idx < partner)  # one representative per pair
-    comp_idx = np.flatnonzero(partner != idx)  # every complex eigenvalue
-    cc = np.abs(eigs[lead] - eigs[partner[lead]])
-    rc = np.abs(eigs[real_idx][:, None] - eigs[comp_idx][None, :]).ravel()
-    iu, ju = np.triu_indices(comp_idx.size, k=1)
-    not_conj = partner[comp_idx[iu]] != comp_idx[ju]
-    gen = np.abs(eigs[comp_idx[iu[not_conj]]] - eigs[comp_idx[ju[not_conj]]])
-    return _as_samples(cc, rc, gen)
-
-
 def classify_spacings_batch(
     spectra: np.ndarray,
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
@@ -237,10 +215,11 @@ def _classify_batch(
     order, and reads the classes from them: ``partner[i] == j`` (cc), ``i``
     real and ``j`` complex (rc, at the pair ``{i, j}``, since ``|e_j - e_i|``
     is bitwise ``|e_i - e_j|``), and both complex and not partners (generic).
-    So values come by row, then in (i, j) row-major order, as from
-    ``classify_spacings``.  A pairing shared by every row fixes each class's
-    pair list, whose moduli go straight into the class's output; one pairing
-    per row selects from a table of every pair's modulus.
+    So values come by row, then in (i, j) row-major order, as from the
+    per-spectrum oracle ``classify_spacings`` in ``tests/oracles.py``.  A
+    pairing shared by every row fixes each class's pair list, whose moduli
+    go straight into the class's output; one pairing per row selects from a
+    table of every pair's modulus.
     """
     count, n = spectra.shape
     partner = partner.reshape(-1, n)

@@ -9,7 +9,9 @@ Families and their Gaussian parameter widths
 --------------------------------------------
 Parameters are drawn i.i.d. zero-mean Gaussian from the matrix weight
 exp(-tr(H^dagger H) / (2 sigma^2)) evaluated on the family's parametrization.
-Writing out tr(H^dagger H) per family gives the per-parameter variances:
+Each family is stated once, as its parameter names and matrix entries in
+``_FORMS``, and ``param_sigmas`` derives the widths from that form.  Written
+out per family, tr(H^dagger H) gives the variances it derives:
 
     F1_ANTIDIAG_IMAG  [[a, -i b], [i c, a]]          2a^2+b^2+c^2
                       -> a: sigma^2/2; b, c: sigma^2
@@ -74,8 +76,10 @@ class Family2x2:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.tag, FamilyTag):
+            raise ValueError(f"tag must be a FamilyTag, got {self.tag!r}")
         e = self.epsilon
-        # F3's c width divides by e^2 + 1/e^2, so e^2 must neither underflow
+        # F3's c width divides by e^2 + (1/e)^2, so e^2 must neither underflow
         # nor overflow
         if not (e > 0 and sys.float_info.min <= e * e < math.inf):
             raise ValueError(
@@ -91,33 +95,38 @@ class MetricPair:
     zeta: np.ndarray | None
 
 
+# Each family once: its parameter names and its entries (m00, m01, m10, m11)
+# as a function of epsilon and those parameters.  Every form is linear in its
+# parameters, and no two parameters share a term of tr(H^dagger H).
+_FORMS = {
+    FamilyTag.F1_ANTIDIAG_IMAG: ("abc", lambda e, a, b, c: (a, -1j * b, 1j * c, a)),
+    FamilyTag.F2_DIAG_PARITY: ("abc", lambda e, a, b, c: (a + c, 1j * b, 1j * b, a - c)),
+    # 1j / e * c, not 1j * c / e: numpy rounds complex division by a float
+    # differently for scalars and arrays, and a stack must equal its
+    # per-matrix calls
+    FamilyTag.F3_EPSILON_SCALED: ("abc", lambda e, a, b, c: (a, -1j * e * c, 1j / e * c, b)),
+    FamilyTag.F4_COMPLEX_DIAG: ("abcd", lambda e, a, b, c, d: (a + 1j * b, c, d, a - 1j * b)),
+    FamilyTag.F5_INDEFINITE: ("abcd", lambda e, a, b, c, d: (a + b, d + 1j * c, -d + 1j * c, a - b)),
+}
+
+
 def param_sigmas(family: Family2x2, sigma: float) -> dict[str, float]:
-    """Per-parameter Gaussian widths from the family's matrix weight."""
+    """Per-parameter Gaussian widths from the family's matrix weight.
+
+    With H linear in its parameters and no term of tr(H^dagger H) shared by
+    two of them, the weight is a product of exp(-p^2 ||H_p||_F^2 / 2 sigma^2),
+    where H_p is the form at p = 1 and every other parameter 0: parameter p
+    has width sigma / ||H_p||_F.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    tag = family.tag
-    root2 = math.sqrt(2.0)
-    if tag is FamilyTag.F1_ANTIDIAG_IMAG:
-        return {"a": sigma / root2, "b": sigma, "c": sigma}
-    if tag is FamilyTag.F2_DIAG_PARITY:
-        return {"a": sigma / root2, "b": sigma / root2, "c": sigma / root2}
-    if tag is FamilyTag.F3_EPSILON_SCALED:
-        e = family.epsilon
-        return {
-            "a": sigma,
-            "b": sigma,
-            "c": sigma / math.sqrt(e * e + 1.0 / (e * e)),
-        }
-    if tag is FamilyTag.F4_COMPLEX_DIAG:
-        return {"a": sigma / root2, "b": sigma / root2, "c": sigma, "d": sigma}
-    if tag is FamilyTag.F5_INDEFINITE:
-        return {
-            "a": sigma / root2,
-            "b": sigma / root2,
-            "c": sigma / root2,
-            "d": sigma / root2,
-        }
-    raise ValueError(f"unknown family tag {tag}")
+    names, form = _FORMS[family.tag]
+    widths = {}
+    for p in names:
+        entries = form(family.epsilon, *(float(q == p) for q in names))
+        # |z| * |z|, not |z| ** 2: pow can round differently from a product
+        widths[p] = sigma / math.sqrt(sum(abs(z) * abs(z) for z in entries))
+    return widths
 
 
 def sample_params(
@@ -135,29 +144,8 @@ def family_matrix(family: Family2x2, **params) -> np.ndarray:
 
     Array parameters of one shape give a stack of shape (..., 2, 2).
     """
-    tag = family.tag
-    a = np.asarray(params["a"], dtype=float)
-    if tag is FamilyTag.F1_ANTIDIAG_IMAG:
-        b, c = params["b"], params["c"]
-        entries = (a, -1j * b, 1j * c, a)
-    elif tag is FamilyTag.F2_DIAG_PARITY:
-        b, c = params["b"], params["c"]
-        entries = (a + c, 1j * b, 1j * b, a - c)
-    elif tag is FamilyTag.F3_EPSILON_SCALED:
-        b, c = params["b"], params["c"]
-        e = family.epsilon
-        # 1j / e * c, not 1j * c / e: numpy rounds complex division by a
-        # float differently for scalars and arrays, and a stack must equal
-        # its per-matrix calls
-        entries = (a, -1j * e * c, 1j / e * c, b)
-    elif tag is FamilyTag.F4_COMPLEX_DIAG:
-        b, c, d = params["b"], params["c"], params["d"]
-        entries = (a + 1j * b, c, d, a - 1j * b)
-    elif tag is FamilyTag.F5_INDEFINITE:
-        b, c, d = params["b"], params["c"], params["d"]
-        entries = (a + b, d + 1j * c, -d + 1j * c, a - b)
-    else:
-        raise ValueError(f"unknown family tag {tag}")
+    names, form = _FORMS[family.tag]
+    entries = form(family.epsilon, *(np.asarray(params[p], dtype=float) for p in names))
     flat = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
     return flat.reshape(flat.shape[:-1] + (2, 2))
 
@@ -249,10 +237,9 @@ def metric_of(family: Family2x2) -> MetricPair:
         return MetricPair(eta=eta, zeta=eta.copy())
     if tag is FamilyTag.F4_COMPLEX_DIAG:
         return MetricPair(eta=np.array([[0, 1], [1, 0]], dtype=complex), zeta=None)
-    if tag is FamilyTag.F5_INDEFINITE:
-        eta = np.diag([1.0 + 0j, -1.0])
-        return MetricPair(eta=eta, zeta=eta.copy())
-    raise ValueError(f"unknown family tag {tag}")
+    # F5_INDEFINITE
+    eta = np.diag([1.0 + 0j, -1.0])
+    return MetricPair(eta=eta, zeta=eta.copy())
 
 
 def diagonalizer(family: Family2x2, *, r: float | None = None, theta: float | None = None) -> np.ndarray:
@@ -286,15 +273,14 @@ def diagonalizer(family: Family2x2, *, r: float | None = None, theta: float | No
             raise ValueError("F4 diagonalizer needs r and theta")
         w = r * cmath.exp(1j * theta) / math.sin(theta)
         return np.array([[w, -w], [1.0, 1.0]], dtype=complex)
-    if tag is FamilyTag.F5_INDEFINITE:
-        if theta is None:
-            raise ValueError("F5 diagonalizer needs theta")
-        ct, st = math.cos(theta), math.sin(theta)
-        return np.array(
-            [[1j * ct, cmath.exp(1j * theta) * st], [cmath.exp(-1j * theta) * st, -1j * ct]],
-            dtype=complex,
-        )
-    raise ValueError(f"unknown family tag {tag}")
+    # F5_INDEFINITE
+    if theta is None:
+        raise ValueError("F5 diagonalizer needs theta")
+    ct, st = math.cos(theta), math.sin(theta)
+    return np.array(
+        [[1j * ct, cmath.exp(1j * theta) * st], [cmath.exp(-1j * theta) * st, -1j * ct]],
+        dtype=complex,
+    )
 
 
 def pseudo_hermiticity_residual(m: np.ndarray, eta: np.ndarray) -> float:

@@ -396,6 +396,29 @@ def multiset_distance(e1, e2) -> float:
     return worst
 
 
+def classify_spacings(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split all qualifying eigenvalue pairs of one spectrum (its ``eigs``
+    and ``partner`` pairing) into cc, rc and generic spacings.
+
+    Every unordered pair contributes at most once: conjugate pairs to ``cc``,
+    (real, complex) pairs to ``rc``, non-conjugate complex pairs to
+    ``generic``.  Real-real pairs belong to no class and are dropped.
+    Built from index lists, not masks: the reference of
+    ``circulant._classify_batch``.
+    """
+    eigs, partner = spec.eigs, spec.partner
+    idx = np.arange(eigs.size)
+    real_idx = np.flatnonzero(partner == idx)
+    lead = np.flatnonzero(idx < partner)  # one representative per pair
+    comp_idx = np.flatnonzero(partner != idx)  # every complex eigenvalue
+    cc = np.abs(eigs[lead] - eigs[partner[lead]])
+    rc = np.abs(eigs[real_idx][:, None] - eigs[comp_idx][None, :]).ravel()
+    iu, ju = np.triu_indices(comp_idx.size, k=1)
+    not_conj = partner[comp_idx[iu]] != comp_idx[ju]
+    gen = np.abs(eigs[comp_idx[iu[not_conj]]] - eigs[comp_idx[ju[not_conj]]])
+    return cc, rc, gen
+
+
 # Relative tolerance of conjugate pairing; the library's ``blockcirc._RTOL``.
 PAIRING_RTOL = 1e-9
 

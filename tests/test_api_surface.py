@@ -24,7 +24,6 @@ MODULES = ("seeding", "specfun", "circulant", "stats", "pseudo2x2", "blockcirc",
 KEEP = {
     "circulant.pseudo_orthogonality_residual": "criterion 7",
     "circulant.eigenvalues": "criterion 5",
-    "circulant.classify_spacings": "oracle",  # per-spectrum reference of the batch path
     "stats.ks_two_sample": "criterion 4",
     "blockcirc.pseudo_orthogonality_residual_block": "criterion 7",
     "blockcirc.eigenvalues_block": "criterion 7",

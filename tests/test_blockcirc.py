@@ -219,12 +219,10 @@ class TestConjugatePairing:
         rng = np.random.default_rng(58)
         row = rng.normal(size=7)
         spec = circulant.eigenvalues(circulant.Circulant(row))
-        structural = circulant.classify_spacings(spec)
-        numeric = circulant.classify_spacings(
-            circulant.Spectrum(spec.eigs, _pair(spec.eigs))
-        )
+        structural = oracles.classify_spacings(spec)
+        numeric = oracles.classify_spacings(circulant.Spectrum(spec.eigs, _pair(spec.eigs)))
         for s, n in zip(structural, numeric):
-            assert np.allclose(np.sort(s.values), np.sort(n.values), rtol=1e-10)
+            assert np.allclose(np.sort(s), np.sort(n), rtol=1e-10)
 
 
 def _greedy_pairing(spectra):
@@ -234,10 +232,10 @@ def _greedy_pairing(spectra):
 def _greedy_classes(spectra):
     """Per-row greedy pairing and classification, concatenated in row order."""
     parts = [
-        circulant.classify_spacings(circulant.Spectrum(row, oracles.pair_conjugates(row)))
+        oracles.classify_spacings(circulant.Spectrum(row, oracles.pair_conjugates(row)))
         for row in spectra
     ]
-    return [np.concatenate([s.values for s in samples]) for samples in zip(*parts)]
+    return [np.concatenate(samples) for samples in zip(*parts)]
 
 
 class TestBatchedPairing:

@@ -235,6 +235,36 @@ class TestSampling:
                 )
                 assert trhh / (sigma * sigma) == pytest.approx(quad, rel=1e-10)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 2.0, 0.5, 0.3])
+    @pytest.mark.parametrize("tag", list(FamilyTag), ids=lambda tag: tag.value)
+    def test_derived_widths_match_the_written_out_weight(self, tag, epsilon):
+        # the widths param_sigmas derives from each form, against tr(H^dag H)
+        # written out by hand; at epsilon = 0.3 the derived f3 c width forms
+        # e^2 + (1/e)^2, not e^2 + 1/e^2, and may differ by one ulp
+        fam = Family2x2(tag, epsilon=epsilon)
+        for sigma in (1.0, 1.7, 0.9, 1e-100, 3e150):
+            half = sigma / math.sqrt(2.0)
+            scaled = sigma / math.sqrt(epsilon * epsilon + 1.0 / (epsilon * epsilon))
+            want = {
+                FamilyTag.F1_ANTIDIAG_IMAG: {"a": half, "b": sigma, "c": sigma},
+                FamilyTag.F2_DIAG_PARITY: {"a": half, "b": half, "c": half},
+                FamilyTag.F3_EPSILON_SCALED: {"a": sigma, "b": sigma, "c": scaled},
+                FamilyTag.F4_COMPLEX_DIAG: {"a": half, "b": half, "c": sigma, "d": sigma},
+                FamilyTag.F5_INDEFINITE: {"a": half, "b": half, "c": half, "d": half},
+            }[tag]
+            got = p2.param_sigmas(fam, sigma)
+            assert list(got) == list(want)  # the names in draw order
+            for name, w in want.items():
+                if epsilon == 0.3 and tag is FamilyTag.F3_EPSILON_SCALED and name == "c":
+                    assert abs(got[name] - w) <= math.ulp(w), (sigma, got[name], w)
+                else:
+                    assert got[name] == w, (sigma, name, got[name], w)
+
+    @pytest.mark.parametrize("tag", ["f1", None])
+    def test_tag_must_be_a_family_tag(self, tag):
+        with pytest.raises(ValueError, match="FamilyTag"):
+            Family2x2(tag)
+
     def test_bad_args(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -248,6 +278,47 @@ class TestSampling:
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
         with pytest.raises(ValueError):
             Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=epsilon)
+
+
+def _family_spacings(fam, sigma, count, seed):
+    """|E+ - E-| of ``count`` draws through the sampler, the form and the
+    closed-form eigensolve."""
+    draws = p2.sample_params(fam, sigma, count, np.random.default_rng(seed))
+    e1, e2 = p2.eigenvalues2(p2.family_matrix(fam, **draws))
+    return np.abs(e1 - e2)
+
+
+class TestFamilyLaws:
+    """The widths checked end to end: the spacings of the sampled forms
+    against each family's law, at the 95 % KS critical value.  Scaling one
+    width that enters the spacing (f2's b or c, any of f3's) by 1.05 fails
+    each of these."""
+
+    N = 400_000
+
+    def test_f2_spacing_is_the_f1_law(self):
+        # eigenvalues a +- sqrt(c^2 - b^2); c - b and c + b are independent
+        # N(0, sigma^2), so |E+ - E-| = 2 sqrt(|(c - b)(c + b)|) follows f1's
+        # K0 law at the same sigma, on both sectors
+        sigma = 1.3
+        fam = Family2x2(FamilyTag.F2_DIAG_PARITY)
+        spacings = np.sort(_family_spacings(fam, sigma, self.N, 31))
+        critical = 1.358 / math.sqrt(self.N)
+        rep = stats.ks_statistic(spacings, lambda s: p2.spacing_cdf_f1(s, sigma), critical)
+        assert rep.passed, rep.ks_distance
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.3])
+    def test_f3_spacing_is_the_norm_of_two_gaussians(self, epsilon):
+        # always real, with spacing sqrt((a - b)^2 + 4 c^2): a - b is
+        # N(0, 2 sigma^2) and 2 c is N(0, 4 sigma^2 / (e^2 + e^-2))
+        sigma = 1.0
+        fam = Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=epsilon)
+        spacings = _family_spacings(fam, sigma, self.N, 34)
+        rng = np.random.default_rng(35)
+        x = rng.normal(0.0, math.sqrt(2.0) * sigma, self.N)
+        y = rng.normal(0.0, 2.0 * sigma / math.sqrt(epsilon**2 + epsilon**-2), self.N)
+        critical = 1.358 * math.sqrt(2.0 / self.N)
+        assert stats.ks_two_sample(spacings, np.hypot(x, y)) < critical
 
 
 class TestDiagonalizers:
