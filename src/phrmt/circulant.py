@@ -18,7 +18,10 @@ come in three classes:
 Under the Gaussian ensemble weight exp(-A tr(M^T M)) the normalized (unit
 mean) laws are exact for every matrix size: a half-Gaussian for ``cc``, a
 Bessel-I0 modulated law for ``rc`` and the Rayleigh distribution for
-``generic``.  All qualifying index pairs contribute one spacing each.
+``generic``.  All qualifying index pairs contribute one spacing each.  The
+spectrum is conjugate-symmetric bit for bit, so the rc and generic
+spacings of pairs {i, j} and {n-i, n-j} are equal floats, and each such
+pair of twins is stored once, as one value with multiplicity 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _as_result, bessel_i0, fourier, hyp2f1_series
+from .specfun import _as_result, bessel_i0, hyp2f1_series
 
 __all__ = [
     "Circulant",
@@ -77,10 +80,13 @@ class Circulant:
 
 @dataclass(frozen=True)
 class SpacingSample:
-    """Scalar spacings of one class."""
+    """Scalar spacings of one class; each value stands for ``multiplicity``
+    eigenvalue pairs whose spacings are that value exactly (2 for the scalar
+    circulant's rc and generic twins, see ``_classify_batch``)."""
 
     klass: str  # "cc" | "rc" | "generic"
     values: np.ndarray
+    multiplicity: int = 1
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=float)
@@ -88,6 +94,8 @@ class SpacingSample:
             raise ValueError("SpacingSample values must be 1-d")
         if vals.size and vals.min() < 0:
             raise ValueError("spacings are nonnegative")
+        if self.multiplicity < 1:
+            raise ValueError("multiplicity must be >= 1")
         object.__setattr__(self, "values", vals)
 
 
@@ -149,9 +157,11 @@ def eigenvalues(c: Circulant) -> Spectrum:
     """Spectrum of a circulant: the unnormalized Fourier transform of its row.
 
     eigs[0] is the row sum (always real); for even n, eigs[n/2] is the
-    alternating sum (also real); eigs[l] and eigs[n-l] are conjugates.
+    alternating sum (also real); eigs[l] and eigs[n-l] are conjugates, bit
+    for bit.  The same path as ``batch_spectra``, so the two agree bit for
+    bit.
     """
-    return Spectrum(eigs=fourier(c.first_row), partner=_circulant_partner(c.n))
+    return Spectrum(eigs=_spectra(c.first_row[np.newaxis])[0], partner=_circulant_partner(c.n))
 
 
 def batch_spectra(rows: np.ndarray) -> np.ndarray:
@@ -159,7 +169,24 @@ def batch_spectra(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("batch_spectra expects a (count, n) array")
-    return fourier(rows)
+    return _spectra(rows)
+
+
+def _spectra(rows: np.ndarray) -> np.ndarray:
+    """``fourier(rows)`` of real rows, from the real-input transform.
+
+    With R = rfft(row), e[l] = conj(R[l]) for l <= n/2 and e[n-l] = R[l], so
+    e[n-l] == conj(e[l]) exactly, and e[0] (and e[n/2] at even n) have
+    imaginary part 0: every rc and generic spacing has an exact twin (see
+    ``_classify_batch``).
+    """
+    n = rows.shape[1]
+    half = np.fft.rfft(rows)
+    h = half.shape[1]  # n // 2 + 1
+    eigs = np.empty(rows.shape, dtype=complex)
+    np.conjugate(half, out=eigs[:, :h])
+    eigs[:, h:] = half[:, n - h : 0 : -1]
+    return eigs
 
 
 def entry_sigma(n: int, weight: float) -> float:
@@ -185,13 +212,22 @@ def sample_rows(n: int, weight: float, count: int, rng: np.random.Generator) -> 
 def classify_spacings_batch(
     spectra: np.ndarray,
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Pooled spacing classes over a (count, n) batch of circulant spectra."""
+    """Pooled spacing classes over a (count, n) batch of circulant spectra,
+    conjugate-symmetric bit for bit under l <-> n-l as ``batch_spectra``
+    gives them: each rc and generic value stands for its two twin pairs."""
     spectra = np.ascontiguousarray(spectra, dtype=complex)
     return _classify_batch(spectra, _circulant_partner(spectra.shape[1]))
 
 
-def _as_samples(cc, rc, gen) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    return SpacingSample("cc", cc), SpacingSample("rc", rc), SpacingSample("generic", gen)
+def _as_samples(
+    cc, rc, gen, multiplicity: int = 1
+) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
+    """The three classes; ``multiplicity`` is that of rc and generic."""
+    return (
+        SpacingSample("cc", cc),
+        SpacingSample("rc", rc, multiplicity),
+        SpacingSample("generic", gen, multiplicity),
+    )
 
 
 # Entries per step of every row-stepped pass of the spacing pipeline (block
@@ -216,10 +252,16 @@ def _classify_batch(
     real and ``j`` complex (rc, at the pair ``{i, j}``, since ``|e_j - e_i|``
     is bitwise ``|e_i - e_j|``), and both complex and not partners (generic).
     So values come by row, then in (i, j) row-major order, as from the
-    per-spectrum oracle ``classify_spacings`` in ``tests/oracles.py``.  A
-    pairing shared by every row fixes each class's pair list, whose moduli
-    go straight into the class's output; one pairing per row selects from a
-    table of every pair's modulus.
+    per-spectrum oracle ``classify_spacings`` in ``tests/oracles.py``.
+
+    A pairing shared by every row (the scalar circulant's) fixes each class's
+    pair list, whose moduli go straight into the class's output.  Its
+    spectra are conjugate-symmetric bit for bit, so the pair ``{i, j}`` and
+    its twin ``{partner[i], partner[j]}`` have the same spacing: a cc pair
+    is its own twin, and of each rc and generic pair and its twin only the
+    first in row-major order is kept, with multiplicity 2.  One pairing per
+    row (block spectra) selects every qualifying pair, with multiplicity 1,
+    from a table of every pair's modulus.
     """
     count, n = spectra.shape
     partner = partner.reshape(-1, n)
@@ -228,12 +270,6 @@ def _classify_batch(
     m = iu.size
     col = np.zeros((n, n), dtype=np.intp)  # pair number of {i, j}
     col[iu, ju] = col[ju, iu] = np.arange(m)
-    # class sizes of a row with c complex and n - c real eigenvalues, for
-    # each pairing; a shared one holds for all count rows
-    c = np.count_nonzero(partner != idx, axis=1)
-    sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
-    rows_each = count if len(partner) == 1 else 1
-    out = [np.empty(int(size.sum()) * rows_each) for size in sizes]
     step = _step_rows(m)
     # e_i - e_j of a step: e_i gathered into it (mode="clip" lets ``take``
     # write there directly; every index is valid), then e_j subtracted
@@ -242,14 +278,15 @@ def _classify_batch(
         part = partner[0]
         real = part == idx
         lead = np.flatnonzero(idx < part)
-        shared = [
-            (iu[pairs], ju[pairs])
-            for pairs in (
-                col[lead, part[lead]],
-                col[np.ix_(idx[real], idx[~real])].ravel(),
-                np.flatnonzero(~real[iu] & ~real[ju] & (part[iu] != ju)),
-            )
-        ]
+        classes = (
+            col[lead, part[lead]],
+            col[np.ix_(idx[real], idx[~real])].ravel(),
+            np.flatnonzero(~real[iu] & ~real[ju] & (part[iu] != ju)),
+        )
+        # keep pair q only if it comes no later than its twin
+        kept = [q[q <= col[part[iu[q]], part[ju[q]]]] for q in classes]
+        shared = [(iu[q], ju[q]) for q in kept]
+        out = [np.empty(count * i.size) for i, _ in shared]
         for start in range(0, count, step):
             rows = spectra[start : start + step]
             for k, (i, j) in enumerate(shared):
@@ -258,7 +295,11 @@ def _classify_batch(
                 rows.take(i, 1, out=d, mode="clip")
                 d -= rows.take(j, 1)
                 np.abs(d, out=dest)
-        return _as_samples(*out)
+        return _as_samples(*out, multiplicity=2)
+    # class sizes of a row with c complex and n - c real eigenvalues
+    c = np.count_nonzero(partner != idx, axis=1)
+    sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
+    out = [np.empty(int(size.sum())) for size in sizes]
     filled = [0, 0, 0]
     table = np.empty((min(step, count), m))
     for start in range(0, count, step):

@@ -172,8 +172,10 @@ def _sort_finite(values: np.ndarray, what: str, flag: str) -> None:
         raise UsageError(f"{what} are not finite; {flag} is out of range")
 
 
-def _histogram_csv(values: np.ndarray, bins: int, hi: float, analytic_pdf=None) -> str:
-    hist = stats.histogram(values, np.linspace(0.0, hi, bins + 1))
+def _histogram_csv(
+    values: np.ndarray, bins: int, hi: float, analytic_pdf=None, multiplicity: int = 1
+) -> str:
+    hist = stats.histogram(values, np.linspace(0.0, hi, bins + 1), multiplicity)
     cols = [hist.centers, hist.densities()]
     header = ["bin_center", "empirical_density"]
     if analytic_pdf is not None:
@@ -300,14 +302,17 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         except ValueError as exc:
             raise UsageError(f"{klass} spacings: {exc}; {scale_flag} is out of range")
         _sort_finite(values, f"{klass} spacings", scale_flag)
+        # a scalar rc or generic value stands for two pairs, and histogram
+        # and report count pairs
         files[f"spacing_{klass}.csv"] = _histogram_csv(
-            values, args.bins, 5.0, analytic_pdf=_CLASS_PDFS[klass]
+            values, args.bins, 5.0, _CLASS_PDFS[klass], sample.multiplicity
         )
         rep = stats.ks_statistic(
             values,
             _CLASS_CDFS[klass],
             pass_threshold=args.ks_threshold,
             label=f"spacing_{klass}",
+            multiplicity=sample.multiplicity,
         )
         # the coupled-chain ensemble does not follow the scalar laws (its cc
         # law is derived in docs/decisions.md), so its reports are

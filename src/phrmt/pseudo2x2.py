@@ -142,9 +142,17 @@ def sample_params(
 def family_matrix(family: Family2x2, **params) -> np.ndarray:
     """Build the structured 2x2 matrix of a family from its real parameters.
 
-    Array parameters of one shape give a stack of shape (..., 2, 2).
+    Array parameters of one shape give a stack of shape (..., 2, 2).  The
+    names given must be the family's own, else ValueError.
     """
     names, form = _FORMS[family.tag]
+    if params.keys() != set(names):
+        extra = ", ".join(sorted(params.keys() - set(names))) or "none"
+        missing = ", ".join(sorted(set(names) - params.keys())) or "none"
+        raise ValueError(
+            f"{family.tag.value} takes parameters {', '.join(names)}: "
+            f"extra {extra}, missing {missing}"
+        )
     entries = form(family.epsilon, *(np.asarray(params[p], dtype=float) for p in names))
     flat = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
     return flat.reshape(flat.shape[:-1] + (2, 2))

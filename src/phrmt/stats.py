@@ -86,13 +86,16 @@ def _check_ascending(x: np.ndarray) -> None:
             raise ValueError("sample must be sorted ascending")
 
 
-def histogram(sample, edges) -> Histogram:
+def histogram(sample, edges, multiplicity: int = 1) -> Histogram:
     """Bin a sample into half-open bins; a value equal to the first edge lands
     in the first bin, a value equal to the last edge is out of range.
 
     The sample must be sorted ascending (NaN last, as ``np.sort`` leaves it),
     else ValueError: each bin's count is the distance between the insertion
     points of its two edges, so NaN, above every edge, is out of range.
+    Each value counts ``multiplicity`` times, so counts and totals are those
+    of the sample with every value repeated; for a power of two the
+    densities are the same floats either way.
     """
     sample = np.ascontiguousarray(sample, dtype=float)
     edges = np.ascontiguousarray(edges, dtype=float)
@@ -101,13 +104,9 @@ def histogram(sample, edges) -> Histogram:
     if np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing")
     _check_ascending(sample)
-    counts = np.diff(np.searchsorted(sample, edges, side="left"))
-    return Histogram(
-        edges=edges,
-        counts=counts,
-        total=sample.size,
-        n_out=int(sample.size - counts.sum()),
-    )
+    counts = multiplicity * np.diff(np.searchsorted(sample, edges, side="left"))
+    total = multiplicity * sample.size
+    return Histogram(edges=edges, counts=counts, total=total, n_out=int(total - counts.sum()))
 
 
 def normalize_unit_mean(sample: SpacingSample) -> SpacingSample:
@@ -128,13 +127,16 @@ def normalize_unit_mean(sample: SpacingSample) -> SpacingSample:
     return sample
 
 
-def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> GofReport:
+def ks_statistic(
+    sample, cdf, pass_threshold: float = 1.0, label: str = "", multiplicity: int = 1
+) -> GofReport:
     """Sup-norm distance between the empirical CDF of a sorted sample and a
     reference CDF.  The sample must already be sorted ascending.
 
     ``cdf`` must act element by element: it is evaluated one slice at a
     time, and the max of the slices' sups is the whole sample's sup, bit for
-    bit.
+    bit.  Each value counts ``multiplicity`` times: the distance is that of
+    the sample with every value repeated, bit for bit, and ``n`` its size.
     """
     x = np.ascontiguousarray(sample, dtype=float)
     n = x.size
@@ -155,7 +157,7 @@ def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> G
     d = float(np.max(sups))
     return GofReport(
         ks_distance=d,
-        n=n,
+        n=multiplicity * n,
         pass_threshold=pass_threshold,
         passed=bool(d < pass_threshold),
         label=label,

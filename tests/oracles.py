@@ -396,27 +396,48 @@ def multiset_distance(e1, e2) -> float:
     return worst
 
 
-def classify_spacings(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split all qualifying eigenvalue pairs of one spectrum (its ``eigs``
-    and ``partner`` pairing) into cc, rc and generic spacings.
+def spacing_pairs(spec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Index pairs ``(a, b)`` of one spectrum's cc, rc and generic classes,
+    in the order ``classify_spacings`` gives their spacings ``|e_a - e_b|``.
 
-    Every unordered pair contributes at most once: conjugate pairs to ``cc``,
-    (real, complex) pairs to ``rc``, non-conjugate complex pairs to
+    Every unordered pair appears at most once: conjugate pairs in ``cc``,
+    (real, complex) pairs in ``rc``, non-conjugate complex pairs in
     ``generic``.  Real-real pairs belong to no class and are dropped.
-    Built from index lists, not masks: the reference of
-    ``circulant._classify_batch``.
     """
-    eigs, partner = spec.eigs, spec.partner
-    idx = np.arange(eigs.size)
+    partner = spec.partner
+    idx = np.arange(partner.size)
     real_idx = np.flatnonzero(partner == idx)
     lead = np.flatnonzero(idx < partner)  # one representative per pair
     comp_idx = np.flatnonzero(partner != idx)  # every complex eigenvalue
-    cc = np.abs(eigs[lead] - eigs[partner[lead]])
-    rc = np.abs(eigs[real_idx][:, None] - eigs[comp_idx][None, :]).ravel()
+    rc_a, rc_b = np.meshgrid(real_idx, comp_idx, indexing="ij")
     iu, ju = np.triu_indices(comp_idx.size, k=1)
     not_conj = partner[comp_idx[iu]] != comp_idx[ju]
-    gen = np.abs(eigs[comp_idx[iu[not_conj]]] - eigs[comp_idx[ju[not_conj]]])
-    return cc, rc, gen
+    return (
+        (lead, partner[lead]),
+        (rc_a.ravel(), rc_b.ravel()),
+        (comp_idx[iu[not_conj]], comp_idx[ju[not_conj]]),
+    )
+
+
+def classify_spacings(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split all qualifying eigenvalue pairs of one spectrum (its ``eigs``
+    and ``partner`` pairing) into cc, rc and generic spacings, at the index
+    pairs of ``spacing_pairs``.  Built from index lists, not masks: the
+    reference of ``circulant._classify_batch``.
+    """
+    return tuple(np.abs(spec.eigs[a] - spec.eigs[b]) for a, b in spacing_pairs(spec))
+
+
+def first_of_twins(partner: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the index pairs ``{a, b}`` that come no later, in (i, j)
+    row-major order over ``i < j``, than their twin ``{partner[a],
+    partner[b]}``; a pair that is its own twin is kept."""
+    n = partner.size
+
+    def rank(x, y):
+        return np.minimum(x, y) * n + np.maximum(x, y)
+
+    return rank(a, b) <= rank(partner[a], partner[b])
 
 
 # Relative tolerance of conjugate pairing; the library's ``blockcirc._RTOL``.

@@ -95,13 +95,24 @@ class TestEigenvalues:
         # partners encode exactly that pairing
         assert np.array_equal(spec.partner, (-np.arange(n)) % n)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 100])
+    def test_batch_twins_are_exact(self, n):
+        # e[n-l] is conj(e[l]) bit for bit, and the self-paired e[0] (and
+        # e[n/2] at even n) are real
+        spectra = circulant.batch_spectra(np.random.default_rng(n).normal(size=(200, n)))
+        partner = (-np.arange(n)) % n
+        comp = np.flatnonzero(partner != np.arange(n))
+        assert spectra[:, partner[comp]].tobytes() == np.conj(spectra[:, comp]).tobytes()
+        assert np.all(spectra[:, partner == np.arange(n)].imag == 0)
+
     def test_batch_matches_per_row(self):
+        # one transform path, so the two routes agree bit for bit
         rng = np.random.default_rng(34)
         rows = rng.normal(size=(10, 7))
         batch = circulant.batch_spectra(rows)
         for i in range(10):
             single = circulant.eigenvalues(Circulant(rows[i])).eigs
-            assert np.max(np.abs(batch[i] - single)) < 1e-12
+            assert batch[i].tobytes() == single.tobytes()
 
     def test_real_eigenvalue_count_odd_even(self):
         rng = np.random.default_rng(35)
@@ -185,26 +196,44 @@ class TestClassifySpacings:
         assert abs(rho) < 0.01
 
     def test_batch_concatenates_realizations(self, monkeypatch):
-        # the batch path equals the per-spectrum path, bit for bit, row after
-        # row; steps are shrunk so a few thousand rows span two full steps
-        # and a partial one (two rows a step at n = 100)
+        # the batch path equals the per-spectrum path at the pairs it keeps
+        # (every cc pair, the first of each rc or generic pair and its twin),
+        # bit for bit, row after row; steps are shrunk so a few thousand rows
+        # span two full steps and a partial one (two rows a step at n = 100)
         monkeypatch.setattr(circulant, "_STEP", 10_000)
         rng = np.random.default_rng(41)
         for n in (3, 4, 5, 8, 100):
             count = 2 * circulant._step_rows(n * (n - 1) // 2) + 1
             rows = rng.normal(size=(count, n))
             batch = circulant.classify_spacings_batch(circulant.batch_spectra(rows))
-            singles = [
-                oracles.classify_spacings(circulant.eigenvalues(Circulant(r))) for r in rows
-            ]
+            specs = [circulant.eigenvalues(Circulant(r)) for r in rows]
             for k, sample in enumerate(batch):
-                want = np.concatenate([single[k] for single in singles])
+                want = np.concatenate([
+                    oracles.classify_spacings(spec)[k][
+                        oracles.first_of_twins(spec.partner, *oracles.spacing_pairs(spec)[k])
+                    ]
+                    for spec in specs
+                ])
                 assert sample.values.tobytes() == want.tobytes(), (n, sample.klass)
+                assert sample.multiplicity == (1 if sample.klass == "cc" else 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 100])
+    def test_twins_doubled_equal_the_oracle(self, n):
+        # every rc and generic value stands for exactly two pairs: repeated
+        # twice, each class is the oracle's multiset on the same spectra,
+        # bit for bit; cc pairs are their own twins and appear once
+        spectra = circulant.batch_spectra(np.random.default_rng(43).normal(size=(50, n)))
+        partner = (-np.arange(n)) % n
+        singles = [oracles.classify_spacings(circulant.Spectrum(e, partner)) for e in spectra]
+        for k, sample in enumerate(circulant.classify_spacings_batch(spectra)):
+            want = np.sort(np.concatenate([single[k] for single in singles]))
+            got = np.sort(np.repeat(sample.values, sample.multiplicity))
+            assert got.tobytes() == want.tobytes(), (n, sample.klass)
 
     def test_batch_scratch_is_bounded(self):
         # the classes are split in steps of about 2**15 pairs, so beyond its
-        # 37.8 MiB of output the call holds under 2 MiB (3.3 MiB with
-        # 2**18-entry steps)
+        # 19.1 MiB of output (one value per pair of twins) the call holds
+        # under 2 MiB (3.3 MiB with 2**18-entry steps)
         rng = np.random.default_rng(42)
         spectra = circulant.batch_spectra(circulant.sample_rows(100, 1.0, 1000, rng))
         tracemalloc.start()

@@ -35,6 +35,23 @@ class TestSpacingCyclic:
         header = (out / "spacing_cc.csv").read_text().splitlines()[0]
         assert header == "bin_center,empirical_density,analytic_density"
 
+    @pytest.mark.parametrize("n, count", [(7, 300), (100, 20)])
+    def test_reports_count_every_pair(self, tmp_path, capsys, n, count):
+        # a scalar rc or generic value is stored once for its two twin
+        # pairs, and the reports count pairs: with r real and c = n - r
+        # complex eigenvalues, c/2 cc, r c rc and c(c-1)/2 - c/2 generic
+        # pairs a realization
+        out = tmp_path / "run"
+        argv = ["--n", str(n), "--count", str(count), "--seed", "3", "--out", str(out)]
+        assert run("spacing-cyclic", *argv) == cli.EXIT_OK
+        c = n - (2 - n % 2)
+        pairs = {"cc": c // 2, "rc": (n - c) * c, "generic": c * (c - 1) // 2 - c // 2}
+        printed = capsys.readouterr().out
+        for klass, per_row in pairs.items():
+            rep = json.loads((out / f"gof_{klass}.json").read_text())
+            assert rep["n"] == count * per_row, klass
+            assert f"spacing_{klass}: ks={rep['ks_distance']:.5f} n={count * per_row} " in printed
+
     @pytest.mark.parametrize("n", ["3", "4"])
     def test_generic_at_small_n_fails_before_sampling(self, tmp_path, monkeypatch, capsys, n):
         # a scalar circulant with N <= 4 has at most one conjugate pair

@@ -279,6 +279,21 @@ class TestSampling:
         with pytest.raises(ValueError):
             Family2x2(FamilyTag.F3_EPSILON_SCALED, epsilon=epsilon)
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            ({"a": 1.0, "b": 1.0, "c": 1.0, "d": 5.0}, "extra d, missing none"),
+            ({"a": 1.0, "b": 1.0}, "extra none, missing c"),
+        ],
+        ids=["extra", "missing"],
+    )
+    def test_family_matrix_rejects_other_and_missing_names(self, params, named):
+        # another family's record must not build a matrix that drops a name
+        with pytest.raises(ValueError) as err:
+            p2.family_matrix(Family2x2(FamilyTag.F1_ANTIDIAG_IMAG), **params)
+        msg = str(err.value)
+        assert "\n" not in msg and msg.startswith("f1 takes parameters a, b, c") and named in msg
+
 
 def _family_spacings(fam, sigma, count, seed):
     """|E+ - E-| of ``count`` draws through the sampler, the form and the
@@ -291,8 +306,8 @@ def _family_spacings(fam, sigma, count, seed):
 class TestFamilyLaws:
     """The widths checked end to end: the spacings of the sampled forms
     against each family's law, at the 95 % KS critical value.  Scaling one
-    width that enters the spacing (f2's b or c, any of f3's) by 1.05 fails
-    each of these."""
+    width that enters the spacing (f2's b or c, any of f3's, the last of f4's
+    or f5's) by 1.05 fails each of these."""
 
     N = 400_000
 
@@ -319,6 +334,23 @@ class TestFamilyLaws:
         y = rng.normal(0.0, 2.0 * sigma / math.sqrt(epsilon**2 + epsilon**-2), self.N)
         critical = 1.358 * math.sqrt(2.0 / self.N)
         assert stats.ks_two_sample(spacings, np.hypot(x, y)) < critical
+
+
+    @pytest.mark.parametrize(
+        "tag, sigma, seed",
+        [(FamilyTag.F4_COMPLEX_DIAG, 1.0, 36), (FamilyTag.F5_INDEFINITE, 1.3, 38)],
+        ids=["f4", "f5"],
+    )
+    def test_f4_f5_spacing_is_a_gaussian_quadratic_form(self, tag, sigma, seed):
+        # f4: a +- sqrt(c d - b^2), where c d = ((c + d)^2 - (c - d)^2) / 4
+        # with (c +- d) / sqrt(2) iid N(0, sigma^2) and b^2 = (sqrt(2) b)^2 / 2;
+        # f5: a +- sqrt(b^2 - c^2 - d^2) with b, c, d iid N(0, sigma^2 / 2).
+        # Either way |E+ - E-| = sqrt(2 |p^2 - q^2 - r^2|), p, q, r iid
+        # N(0, sigma^2)
+        spacings = _family_spacings(Family2x2(tag), sigma, self.N, seed)
+        p, q, r = np.random.default_rng(seed + 1).normal(0.0, sigma, (3, self.N))
+        critical = 1.358 * math.sqrt(2.0 / self.N)
+        assert stats.ks_two_sample(spacings, np.sqrt(2.0 * np.abs(p * p - q * q - r * r))) < critical
 
 
 class TestDiagonalizers:

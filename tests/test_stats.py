@@ -212,6 +212,23 @@ class TestSortedPassMatchesOracles:
         got = stats.ks_statistic(x, _CDFS[law]).ks_distance
         assert got.hex() == expect.hex()
 
+    @pytest.mark.parametrize("slice_", [1, 7, 10**6])
+    @pytest.mark.parametrize("law", sorted(_CDFS))
+    @pytest.mark.parametrize("nan", [False, True], ids=["no-nan", "nan"])
+    def test_multiplicity_is_the_repeated_sample(self, monkeypatch, slice_, law, nan):
+        # each value counted twice gives the KS distance, counts and
+        # densities of the sample with every value repeated, bit for bit,
+        # and its n, total and n_out
+        monkeypatch.setattr(circulant, "_STEP", slice_)
+        x = _edge_case_sample(nan)
+        twice = np.repeat(x, 2)
+        got = stats.ks_statistic(x, _CDFS[law], multiplicity=2)
+        want = stats.ks_statistic(twice, _CDFS[law])
+        assert (got.ks_distance.hex(), got.n) == (want.ks_distance.hex(), want.n)
+        h, h2 = stats.histogram(x, _EDGES, 2), stats.histogram(twice, _EDGES)
+        assert (h.counts.tolist(), h.total, h.n_out) == (h2.counts.tolist(), h2.total, h2.n_out)
+        assert h.densities().tobytes() == h2.densities().tobytes()
+
     def test_sorted_pass_scratch_is_bounded(self):
         # normalise, sort, histogram and KS of one class hold the sample once
         # and a few slices of scratch (2**15 values, 256 KiB each); with
