@@ -214,9 +214,25 @@ def classify_spacings_batch(
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Pooled spacing classes over a (count, n) batch of circulant spectra,
     conjugate-symmetric bit for bit under l <-> n-l as ``batch_spectra``
-    gives them: each rc and generic value stands for its two twin pairs."""
+    gives them: each rc and generic value stands for its two twin pairs.
+
+    ValueError if a row is not exactly conjugate-symmetric (for example a
+    spectrum from ``specfun.fourier``, which is only to rounding), since
+    then a twin's spacing is not the kept pair's.
+    """
     spectra = np.ascontiguousarray(spectra, dtype=complex)
-    return _classify_batch(spectra, _circulant_partner(spectra.shape[1]))
+    if spectra.ndim != 2:
+        raise ValueError("classify_spacings_batch expects a (count, n) array")
+    partner = _circulant_partner(spectra.shape[1])
+    step = _step_rows(spectra.shape[1])
+    for start in range(0, len(spectra), step):
+        rows = spectra[start : start + step]
+        if not np.array_equal(rows.take(partner, 1), rows.conj()):
+            raise ValueError(
+                "spectra must be conjugate-symmetric bit for bit, e[n-l] == conj(e[l]), "
+                "as batch_spectra gives them"
+            )
+    return _classify_batch(spectra, partner)
 
 
 def _as_samples(
@@ -264,7 +280,6 @@ def _classify_batch(
     from a table of every pair's modulus.
     """
     count, n = spectra.shape
-    partner = partner.reshape(-1, n)
     idx = np.arange(n)
     iu, ju = np.triu_indices(n, k=1)
     m = iu.size
@@ -274,17 +289,16 @@ def _classify_batch(
     # e_i - e_j of a step: e_i gathered into it (mode="clip" lets ``take``
     # write there directly; every index is valid), then e_j subtracted
     diff = np.empty(min(step, count) * m, dtype=complex)
-    if len(partner) == 1:
-        part = partner[0]
-        real = part == idx
-        lead = np.flatnonzero(idx < part)
+    if partner.ndim == 1:
+        real = partner == idx
+        lead = np.flatnonzero(idx < partner)
         classes = (
-            col[lead, part[lead]],
+            col[lead, partner[lead]],
             col[np.ix_(idx[real], idx[~real])].ravel(),
-            np.flatnonzero(~real[iu] & ~real[ju] & (part[iu] != ju)),
+            np.flatnonzero(~real[iu] & ~real[ju] & (partner[iu] != ju)),
         )
         # keep pair q only if it comes no later than its twin
-        kept = [q[q <= col[part[iu[q]], part[ju[q]]]] for q in classes]
+        kept = [q[q <= col[partner[iu[q]], partner[ju[q]]]] for q in classes]
         shared = [(iu[q], ju[q]) for q in kept]
         out = [np.empty(count * i.size) for i, _ in shared]
         for start in range(0, count, step):

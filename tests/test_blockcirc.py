@@ -461,6 +461,17 @@ class TestSortedScreen:
         spec = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(3)))
         assert np.array_equal(spec.partner, oracles.pair_conjugates(spec.eigs))
 
+    @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
+    def test_one_row_batch_keeps_every_pair(self, instance):
+        # a one-row batch has one pairing per row, not a shared one: every
+        # qualifying pair is kept, once, as the oracle gives it
+        spectra = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(5))).eigs[None]
+        got = blockcirc.classify_block_batch(spectra)
+        want = _greedy_classes(spectra)
+        for sample, values in zip(got, want):
+            assert sample.values.tobytes() == values.tobytes(), sample.klass
+            assert sample.multiplicity == 1
+
     def test_tie_in_a_later_step_names_its_batch_row(self):
         # 81 rows a step at N = 25: row 417 is the 13th row of the sixth step
         spectra = blockcirc.batch_block_spectra(

@@ -10,6 +10,7 @@ from scipy import integrate
 import oracles
 from phrmt import circulant, stats
 from phrmt.circulant import Circulant
+from phrmt.specfun import fourier
 
 
 class TestCirculantType:
@@ -229,6 +230,20 @@ class TestClassifySpacings:
             want = np.sort(np.concatenate([single[k] for single in singles]))
             got = np.sort(np.repeat(sample.values, sample.multiplicity))
             assert got.tobytes() == want.tobytes(), (n, sample.klass)
+
+    def test_spectra_without_exact_twins_are_refused(self):
+        # the complex-to-complex transform is conjugate-symmetric only to
+        # rounding at n = 12, so its twins' spacings need not be equal
+        rows = np.random.default_rng(44).normal(size=(50, 12))
+        spectra = fourier(rows, axis=-1)
+        assert not np.array_equal(spectra, circulant.batch_spectra(rows))
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            circulant.classify_spacings_batch(spectra)
+        # one real eigenvalue with a nonzero imaginary part is refused too
+        spectra = circulant.batch_spectra(rows)
+        spectra[-1, 0] += 1e-300j
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            circulant.classify_spacings_batch(spectra)
 
     def test_batch_scratch_is_bounded(self):
         # the classes are split in steps of about 2**15 pairs, so beyond its
