@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SpacingSample, Spectrum, _classify_batch, _step_rows, generalized_parity
+from .circulant import SpacingSample, Spectrum, _moduli, _pair_numbers, _step_rows, generalized_parity
 from .pseudo2x2 import eigenvalues2
 from .specfun import fourier
 
@@ -244,8 +244,41 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
 def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """Pooled spacing classes over a (count, 2N) batch of block spectra.
 
-    Pairing is re-detected per realization (see ``_pair_batch``); the
-    per-class values are kept in realization order.
+    Pairing is re-detected per realization (see ``_pair_batch``), and every
+    qualifying pair is kept, read from a table of ``|e_i - e_j|`` over the
+    step's rows and pairs ``i < j``.  Values come by row, then in (i, j)
+    row-major order, as from the oracle ``classify_spacings`` in
+    ``tests/oracles.py``.
     """
     spectra = np.ascontiguousarray(spectra, dtype=complex)
-    return _classify_batch(spectra, _pair_batch(spectra))
+    partner = _pair_batch(spectra)
+    count, n = spectra.shape
+    iu, ju, col = _pair_numbers(n)
+    idx = np.arange(n)
+    # class sizes of a row with c complex and n - c real eigenvalues
+    c = np.count_nonzero(partner != idx, axis=1)
+    sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
+    out = [np.empty(int(size.sum())) for size in sizes]
+    filled = [0, 0, 0]
+    step = _step_rows(iu.size)
+    table = np.empty((min(step, count), iu.size))
+    scratch = np.empty(table.size, dtype=complex)
+    for start in range(0, count, step):
+        rows = spectra[start : start + step]
+        t = table[: len(rows)]
+        _moduli(rows, iu, ju, t, scratch)
+        part = partner[start : start + len(rows)]
+        comp = part != idx
+        row, i = np.nonzero(idx < part)
+        cc = row, col[i, part[row, i]]
+        # each real eigenvalue against the complex ones of its row
+        row, i = np.nonzero(~comp)
+        pick, j = np.nonzero(comp[row])
+        rc = row[pick], col[i[pick], j]
+        generic = comp.take(iu, 1)
+        generic &= comp.take(ju, 1)
+        generic[cc] = False
+        for k, values in enumerate((t[cc], t[rc], t[generic])):
+            out[k][filled[k] : filled[k] + values.size] = values
+            filled[k] += values.size
+    return tuple(SpacingSample(k, v) for k, v in zip(("cc", "rc", "generic"), out))

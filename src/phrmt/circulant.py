@@ -18,15 +18,16 @@ come in three classes:
 Under the Gaussian ensemble weight exp(-A tr(M^T M)) the normalized (unit
 mean) laws are exact for every matrix size: a half-Gaussian for ``cc``, a
 Bessel-I0 modulated law for ``rc`` and the Rayleigh distribution for
-``generic``.  All qualifying index pairs contribute one spacing each.  The
-spectrum is conjugate-symmetric bit for bit, so the rc and generic
-spacings of pairs {i, j} and {n-i, n-j} are equal floats, and each such
-pair of twins is stored once, as one value with multiplicity 2.
+``generic``.  Every cc pair contributes one spacing.  The spectrum is
+conjugate-symmetric bit for bit, so the rc and generic spacings of pairs
+{i, j} and {n-i, n-j} are equal floats, and each such pair of twins is
+stored once, as one value with multiplicity 2.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +79,18 @@ class Circulant:
         return self.first_row[(j - i) % n]
 
 
+def _multiplicity(m) -> int:
+    """``m`` as an int; ValueError unless it is an integer >= 1."""
+    if not hasattr(type(m), "__index__") or operator.index(m) < 1:
+        raise ValueError("multiplicity must be an integer >= 1")
+    return operator.index(m)
+
+
 @dataclass(frozen=True)
 class SpacingSample:
     """Scalar spacings of one class; each value stands for ``multiplicity``
     eigenvalue pairs whose spacings are that value exactly (2 for the scalar
-    circulant's rc and generic twins, see ``_classify_batch``)."""
+    circulant's rc and generic twins, see ``classify_spacings_batch``)."""
 
     klass: str  # "cc" | "rc" | "generic"
     values: np.ndarray
@@ -94,9 +102,8 @@ class SpacingSample:
             raise ValueError("SpacingSample values must be 1-d")
         if vals.size and vals.min() < 0:
             raise ValueError("spacings are nonnegative")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "multiplicity", _multiplicity(self.multiplicity))
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ def _spectra(rows: np.ndarray) -> np.ndarray:
     With R = rfft(row), e[l] = conj(R[l]) for l <= n/2 and e[n-l] = R[l], so
     e[n-l] == conj(e[l]) exactly, and e[0] (and e[n/2] at even n) have
     imaginary part 0: every rc and generic spacing has an exact twin (see
-    ``_classify_batch``).
+    ``classify_spacings_batch``).
     """
     n = rows.shape[1]
     half = np.fft.rfft(rows)
@@ -209,43 +216,6 @@ def sample_rows(n: int, weight: float, count: int, rng: np.random.Generator) -> 
     return rng.normal(0.0, entry_sigma(n, weight), size=(count, n))
 
 
-def classify_spacings_batch(
-    spectra: np.ndarray,
-) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Pooled spacing classes over a (count, n) batch of circulant spectra,
-    conjugate-symmetric bit for bit under l <-> n-l as ``batch_spectra``
-    gives them: each rc and generic value stands for its two twin pairs.
-
-    ValueError if a row is not exactly conjugate-symmetric (for example a
-    spectrum from ``specfun.fourier``, which is only to rounding), since
-    then a twin's spacing is not the kept pair's.
-    """
-    spectra = np.ascontiguousarray(spectra, dtype=complex)
-    if spectra.ndim != 2:
-        raise ValueError("classify_spacings_batch expects a (count, n) array")
-    partner = _circulant_partner(spectra.shape[1])
-    step = _step_rows(spectra.shape[1])
-    for start in range(0, len(spectra), step):
-        rows = spectra[start : start + step]
-        if not np.array_equal(rows.take(partner, 1), rows.conj()):
-            raise ValueError(
-                "spectra must be conjugate-symmetric bit for bit, e[n-l] == conj(e[l]), "
-                "as batch_spectra gives them"
-            )
-    return _classify_batch(spectra, partner)
-
-
-def _as_samples(
-    cc, rc, gen, multiplicity: int = 1
-) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """The three classes; ``multiplicity`` is that of rc and generic."""
-    return (
-        SpacingSample("cc", cc),
-        SpacingSample("rc", rc, multiplicity),
-        SpacingSample("generic", gen, multiplicity),
-    )
-
-
 # Entries per step of every row-stepped pass of the spacing pipeline (block
 # transform-and-solve, conjugate pairing, class split, KS and order check): a
 # few hundred KiB of scratch whatever the spectrum length or batch size.
@@ -257,88 +227,74 @@ def _step_rows(width: int) -> int:
     return max(1, _STEP // max(width, 1))
 
 
-def _classify_batch(
-    spectra: np.ndarray, partner: np.ndarray
-) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Spacing classes of a (count, n) batch with one pairing ``partner`` for
-    every row, shape (n,), or one per row, shape (count, n).
-
-    Each step takes ``|e_i - e_j|`` over ``i < j``, pairs in (i, j) row-major
-    order, and reads the classes from them: ``partner[i] == j`` (cc), ``i``
-    real and ``j`` complex (rc, at the pair ``{i, j}``, since ``|e_j - e_i|``
-    is bitwise ``|e_i - e_j|``), and both complex and not partners (generic).
-    So values come by row, then in (i, j) row-major order, as from the
-    per-spectrum oracle ``classify_spacings`` in ``tests/oracles.py``.
-
-    A pairing shared by every row (the scalar circulant's) fixes each class's
-    pair list, whose moduli go straight into the class's output.  Its
-    spectra are conjugate-symmetric bit for bit, so the pair ``{i, j}`` and
-    its twin ``{partner[i], partner[j]}`` have the same spacing: a cc pair
-    is its own twin, and of each rc and generic pair and its twin only the
-    first in row-major order is kept, with multiplicity 2.  One pairing per
-    row (block spectra) selects every qualifying pair, with multiplicity 1,
-    from a table of every pair's modulus.
-    """
-    count, n = spectra.shape
-    idx = np.arange(n)
+def _pair_numbers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``i < j`` of n eigenvalues in (i, j) row-major order, and
+    ``col[i, j] == col[j, i]``, the number of the pair {i, j}."""
     iu, ju = np.triu_indices(n, k=1)
-    m = iu.size
-    col = np.zeros((n, n), dtype=np.intp)  # pair number of {i, j}
-    col[iu, ju] = col[ju, iu] = np.arange(m)
-    step = _step_rows(m)
-    # e_i - e_j of a step: e_i gathered into it (mode="clip" lets ``take``
-    # write there directly; every index is valid), then e_j subtracted
-    diff = np.empty(min(step, count) * m, dtype=complex)
-    if partner.ndim == 1:
-        real = partner == idx
-        lead = np.flatnonzero(idx < partner)
-        classes = (
-            col[lead, partner[lead]],
-            col[np.ix_(idx[real], idx[~real])].ravel(),
-            np.flatnonzero(~real[iu] & ~real[ju] & (partner[iu] != ju)),
-        )
-        # keep pair q only if it comes no later than its twin
-        kept = [q[q <= col[partner[iu[q]], partner[ju[q]]]] for q in classes]
-        shared = [(iu[q], ju[q]) for q in kept]
-        out = [np.empty(count * i.size) for i, _ in shared]
-        for start in range(0, count, step):
-            rows = spectra[start : start + step]
-            for k, (i, j) in enumerate(shared):
-                dest = out[k].reshape(count, i.size)[start : start + len(rows)]
-                d = diff[: dest.size].reshape(dest.shape)
-                rows.take(i, 1, out=d, mode="clip")
-                d -= rows.take(j, 1)
-                np.abs(d, out=dest)
-        return _as_samples(*out, multiplicity=2)
-    # class sizes of a row with c complex and n - c real eigenvalues
-    c = np.count_nonzero(partner != idx, axis=1)
-    sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
-    out = [np.empty(int(size.sum())) for size in sizes]
-    filled = [0, 0, 0]
-    table = np.empty((min(step, count), m))
+    col = np.zeros((n, n), dtype=np.intp)
+    col[iu, ju] = col[ju, iu] = np.arange(iu.size)
+    return iu, ju, col
+
+
+def _moduli(rows, i, j, out, scratch) -> None:
+    """``|e_i - e_j|`` of each row into ``out``, through a complex ``scratch``
+    of at least its size: e_i gathered into it (mode="clip" lets ``take``
+    write there directly; every index is valid), then e_j subtracted."""
+    d = scratch[: out.size].reshape(out.shape)
+    rows.take(i, 1, out=d, mode="clip")
+    d -= rows.take(j, 1)
+    np.abs(d, out=out)
+
+
+def classify_spacings_batch(
+    spectra: np.ndarray,
+) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
+    """Pooled spacing classes over a (count, n) batch of circulant spectra,
+    conjugate-symmetric bit for bit under l <-> n-l as ``batch_spectra``
+    gives them.
+
+    The pairing p[l] = n - l mod n fixes each class's pair list.  A pair
+    {i, j} and its twin {p[i], p[j]} have the same spacing: a cc pair is its
+    own twin, and of each rc and generic pair and its twin only the first in
+    row-major order is kept, with multiplicity 2.  Values come by row, then
+    in (i, j) row-major order, as from the oracle ``classify_spacings`` in
+    ``tests/oracles.py`` at the pairs kept.
+
+    ValueError if a row is not exactly conjugate-symmetric (for example a
+    spectrum from ``specfun.fourier``, which is only to rounding), since
+    then a twin's spacing is not the kept pair's; each step of rows is
+    checked before its moduli are taken.
+    """
+    spectra = np.ascontiguousarray(spectra, dtype=complex)
+    if spectra.ndim != 2:
+        raise ValueError("classify_spacings_batch expects a (count, n) array")
+    count, n = spectra.shape
+    iu, ju, col = _pair_numbers(n)
+    idx = np.arange(n)
+    p = _circulant_partner(n)
+    real = p == idx
+    lead = np.flatnonzero(idx < p)
+    classes = (
+        col[lead, p[lead]],
+        col[np.ix_(idx[real], idx[~real])].ravel(),
+        np.flatnonzero(~real[iu] & ~real[ju] & (p[iu] != ju)),
+    )
+    # keep pair q only if it comes no later than its twin
+    kept = [q[q <= col[p[iu[q]], p[ju[q]]]] for q in classes]
+    out = [np.empty((count, q.size)) for q in kept]
+    step = _step_rows(iu.size)
+    scratch = np.empty(min(step, count) * iu.size, dtype=complex)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
-        r = len(rows)
-        t = table[:r]
-        d = diff[: t.size].reshape(t.shape)
-        rows.take(iu, 1, out=d, mode="clip")
-        d -= rows.take(ju, 1)
-        np.abs(d, out=t)
-        part = partner[start : start + r]
-        comp = part != idx
-        row, i = np.nonzero(idx < part)
-        cc = row, col[i, part[row, i]]
-        # each real eigenvalue against the complex ones of its row
-        row, i = np.nonzero(~comp)
-        pick, j = np.nonzero(comp[row])
-        rc = row[pick], col[i[pick], j]
-        generic = comp.take(iu, 1)
-        generic &= comp.take(ju, 1)
-        generic[cc] = False
-        for k, values in enumerate((t[cc], t[rc], t[generic])):
-            out[k][filled[k] : filled[k] + values.size] = values
-            filled[k] += values.size
-    return _as_samples(*out)
+        if not np.array_equal(rows.take(p, 1), rows.conj()):
+            raise ValueError(
+                "spectra must be conjugate-symmetric bit for bit, e[n-l] == conj(e[l]), "
+                "as batch_spectra gives them"
+            )
+        for q, values in zip(kept, out):
+            _moduli(rows, iu[q], ju[q], values[start : start + len(rows)], scratch)
+    cc, rc, generic = (values.ravel() for values in out)
+    return SpacingSample("cc", cc), SpacingSample("rc", rc, 2), SpacingSample("generic", generic, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ out per family, tr(H^dagger H) gives the variances it derives:
     F5_INDEFINITE     [[a+b, d+i c], [-d+i c, a-b]]  2(a^2+b^2+c^2+d^2)
                       -> a, b, c, d: sigma^2/2
 
-Only F1 has a closed spacing law: P(S) = S/(pi sigma^2) K0(S^2 / 4 sigma^2),
-with eigenvalues a +- sqrt(bc) (real for bc > 0, a conjugate pair otherwise).
-The remaining families are sampled for empirical histograms only.
+F1's spacing law is P(S) = S/(pi sigma^2) K0(S^2 / 4 sigma^2), with
+eigenvalues a +- sqrt(bc) (real for bc > 0, a conjugate pair otherwise).
+The tests check f2 against the same law, f3 against the norm of two
+Gaussians, and f4 and f5 against sqrt(2 |p^2 - q^2 - r^2|), p, q, r iid
+N(0, sigma^2).  The CLI reports a goodness of fit for f1 only.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circulant
-from .circulant import SpacingSample, _step_rows
+from .circulant import SpacingSample, _multiplicity, _step_rows
 from .specfun import erf
 
 __all__ = [
@@ -95,8 +95,10 @@ def histogram(sample, edges, multiplicity: int = 1) -> Histogram:
     points of its two edges, so NaN, above every edge, is out of range.
     Each value counts ``multiplicity`` times, so counts and totals are those
     of the sample with every value repeated; for a power of two the
-    densities are the same floats either way.
+    densities are the same floats either way.  ValueError unless
+    ``multiplicity`` is an integer >= 1.
     """
+    multiplicity = _multiplicity(multiplicity)
     sample = np.ascontiguousarray(sample, dtype=float)
     edges = np.ascontiguousarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -137,7 +139,9 @@ def ks_statistic(
     time, and the max of the slices' sups is the whole sample's sup, bit for
     bit.  Each value counts ``multiplicity`` times: the distance is that of
     the sample with every value repeated, bit for bit, and ``n`` its size.
+    ValueError unless ``multiplicity`` is an integer >= 1.
     """
+    multiplicity = _multiplicity(multiplicity)
     x = np.ascontiguousarray(sample, dtype=float)
     n = x.size
     if n == 0:

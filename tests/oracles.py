@@ -423,7 +423,8 @@ def classify_spacings(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split all qualifying eigenvalue pairs of one spectrum (its ``eigs``
     and ``partner`` pairing) into cc, rc and generic spacings, at the index
     pairs of ``spacing_pairs``.  Built from index lists, not masks: the
-    reference of ``circulant._classify_batch``.
+    reference of ``circulant.classify_spacings_batch`` and
+    ``blockcirc.classify_block_batch``.
     """
     return tuple(np.abs(spec.eigs[a] - spec.eigs[b]) for a, b in spacing_pairs(spec))
 

@@ -239,11 +239,14 @@ class TestClassifySpacings:
         assert not np.array_equal(spectra, circulant.batch_spectra(rows))
         with pytest.raises(ValueError, match="conjugate-symmetric"):
             circulant.classify_spacings_batch(spectra)
-        # one real eigenvalue with a nonzero imaginary part is refused too
-        spectra = circulant.batch_spectra(rows)
-        spectra[-1, 0] += 1e-300j
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            circulant.classify_spacings_batch(spectra)
+        # one real eigenvalue with a nonzero imaginary part is refused too,
+        # also in the last of several steps (6 rows a step at n = 100)
+        for count, n in ((50, 12), (20, 100)):
+            spectra = circulant.batch_spectra(np.random.default_rng(44).normal(size=(count, n)))
+            spectra[-1, 0] += 1e-300j
+            with pytest.raises(ValueError, match="conjugate-symmetric"):
+                circulant.classify_spacings_batch(spectra)
+        assert circulant._step_rows(100 * 99 // 2) == 6
 
     def test_batch_scratch_is_bounded(self):
         # the classes are split in steps of about 2**15 pairs, so beyond its

@@ -229,6 +229,17 @@ class TestSortedPassMatchesOracles:
         assert (h.counts.tolist(), h.total, h.n_out) == (h2.counts.tolist(), h2.total, h2.n_out)
         assert h.densities().tobytes() == h2.densities().tobytes()
 
+    @pytest.mark.parametrize("multiplicity", [0, -1, 2.5])
+    def test_multiplicity_must_be_a_positive_integer(self, multiplicity):
+        # each value stands for a whole number of pairs, at least one
+        x = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match="multiplicity"):
+            stats.histogram(x, _EDGES, multiplicity)
+        with pytest.raises(ValueError, match="multiplicity"):
+            stats.ks_statistic(x, stats.cdf_cc, multiplicity=multiplicity)
+        with pytest.raises(ValueError, match="multiplicity"):
+            SpacingSample("rc", x, multiplicity)
+
     def test_sorted_pass_scratch_is_bounded(self):
         # normalise, sort, histogram and KS of one class hold the sample once
         # and a few slices of scratch (2**15 values, 256 KiB each); with
