@@ -9,11 +9,13 @@ Subpackages:
 * ``walk``      -- ring random walks, entropy relaxation, ensemble decay law
 * ``stats``     -- histograms, unit-mean normalization, KS goodness of fit
 * ``cli``       -- reproducible experiment runner writing CSV + JSON reports
+
+Importing the package loads none of them: ``from phrmt import walk`` loads
+``walk`` and what it imports, so a CLI process loads only the modules its
+subcommand runs.
 """
 
 __version__ = "0.1.0"
-
-from . import blockcirc, circulant, pseudo2x2, seeding, specfun, stats, walk
 
 __all__ = [
     "__version__",

@@ -23,7 +23,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import datetime
 import functools
@@ -32,10 +31,16 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, blockcirc, circulant, pseudo2x2, seeding, stats, walk
+from . import __version__
+
+# Each command imports the library modules it runs, so a process loads only
+# those (see docs/decisions.md, "What a CLI process loads").
+if TYPE_CHECKING:
+    from . import stats, walk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -142,6 +147,8 @@ def _pool_map(fn, threads: int, *iterables) -> list:
     items = list(zip(*iterables))
     if threads <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
+    import concurrent.futures  # it imports logging, which one thread never needs
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda item: fn(*item), items))
 
@@ -153,6 +160,7 @@ def _chunked_sample(sampler, count: int, seed: int, threads: int) -> np.ndarray:
     identical for any thread count.  Overflow is not warned about: the
     commands check their spacings and name the flag that caused it.
     """
+    from . import seeding
 
     def quiet(size, rng):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -175,6 +183,8 @@ def _sort_finite(values: np.ndarray, what: str, flag: str) -> None:
 def _histogram_csv(
     values: np.ndarray, bins: int, hi: float, analytic_pdf=None, multiplicity: int = 1
 ) -> str:
+    from . import stats
+
     hist = stats.histogram(values, np.linspace(0.0, hi, bins + 1), multiplicity)
     cols = [hist.centers, hist.densities()]
     header = ["bin_center", "empirical_density"]
@@ -189,6 +199,8 @@ def _histogram_csv(
 # ---------------------------------------------------------------------------
 
 def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
+    from . import pseudo2x2, stats
+
     tag = pseudo2x2.FamilyTag(args.family)
     try:
         family = pseudo2x2.Family2x2(tag, epsilon=args.epsilon)
@@ -238,19 +250,9 @@ def cmd_spacing2x2(args) -> tuple[dict[str, str], list[stats.GofReport]]:
 # spacing-cyclic
 # ---------------------------------------------------------------------------
 
-_CLASS_PDFS = {
-    "cc": circulant.pdf_cc,
-    "rc": circulant.pdf_rc,
-    "generic": circulant.pdf_generic,
-}
-_CLASS_CDFS = {
-    "cc": stats.cdf_cc,
-    "rc": stats.cdf_rc,
-    "generic": stats.cdf_generic,
-}
-
-
 def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
+    from . import circulant, stats
+
     classes = ["cc", "rc", "generic"] if args.klass == "all" else [args.klass]
     if args.blocks == "none" and args.n <= 4 and args.klass == "generic":
         # at most two complex eigenvalues, which are one conjugate pair
@@ -262,6 +264,8 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         def draw(sz, rng):
             return circulant.batch_spectra(circulant.sample_rows(args.n, args.weight, sz, rng))
     else:
+        from . import blockcirc
+
         scale_flag = "--block-scale"
         classify = blockcirc.classify_block_batch
         sampler = (
@@ -287,9 +291,17 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             f"no cc, rc or generic spacings for this configuration; {scale_flag} is out of range"
         )
 
+    # each law is read from its module when the command runs, so a wrapper
+    # set on the module attribute (the benchmark's tracer) sees every call
+    laws = {
+        "cc": (circulant.pdf_cc, stats.cdf_cc),
+        "rc": (circulant.pdf_rc, stats.cdf_rc),
+        "generic": (circulant.pdf_generic, stats.cdf_generic),
+    }
     files: dict[str, str] = {}
     reports: list[stats.GofReport] = []
     for klass in classes:
+        pdf, cdf = laws[klass]
         sample = samples[klass]
         if sample.values.size == 0:
             if args.klass == "all":
@@ -305,11 +317,11 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         # a scalar rc or generic value stands for two pairs, and histogram
         # and report count pairs
         files[f"spacing_{klass}.csv"] = _histogram_csv(
-            values, args.bins, 5.0, _CLASS_PDFS[klass], sample.multiplicity
+            values, args.bins, 5.0, pdf, sample.multiplicity
         )
         rep = stats.ks_statistic(
             values,
-            _CLASS_CDFS[klass],
+            cdf,
             pass_threshold=args.ks_threshold,
             label=f"spacing_{klass}",
             multiplicity=sample.multiplicity,
@@ -352,6 +364,8 @@ def _read_walk_config(path: Path) -> dict[str, str]:
 
 
 def _walk_config_from(args) -> walk.WalkConfig:
+    from . import walk
+
     try:
         if args.row is not None:
             return walk.WalkConfig([float(tok) for tok in args.row.split(",") if tok.strip()])
@@ -363,6 +377,8 @@ def _walk_config_from(args) -> walk.WalkConfig:
 
 
 def cmd_walk(args) -> tuple[dict[str, str], list[stats.GofReport]]:
+    from . import walk
+
     cfg = _walk_config_from(args)
     if not 0 <= args.start < cfg.n_sites:
         raise UsageError(f"start site {args.start} outside 0..{cfg.n_sites - 1}")
@@ -384,6 +400,8 @@ def cmd_walk(args) -> tuple[dict[str, str], list[stats.GofReport]]:
 
 
 def cmd_rmt_decay(args) -> tuple[dict[str, str], list[stats.GofReport]]:
+    from . import walk
+
     ts = np.arange(args.t_max + 1)
     closed = np.array([walk.rmt_decay_closed_form(int(t)) for t in ts])
     asym = np.array([walk.rmt_decay_asymptotic(int(t)) for t in ts])
@@ -391,6 +409,8 @@ def cmd_rmt_decay(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     header = ["t", "closed_form_scaled", "asymptotic_scaled", "percent_difference"]
     cols = [ts, closed, asym, pdiff]
     if args.realizations > 0:
+        from . import seeding
+
         mc = np.empty(ts.size)
         se = np.empty(ts.size)
         # every step draws from its own stream, so how the steps are split
@@ -518,6 +538,30 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "number"
 
 
+def _family(text: str) -> str:
+    """A 2x2 family name, checked against ``pseudo2x2.FamilyTag`` only when
+    ``--family`` is parsed, so building the parser loads no library module."""
+    from . import pseudo2x2
+
+    names = [tag.value for tag in pseudo2x2.FamilyTag]
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return text
+
+
+def _decay_t_max(text: str) -> int:
+    """The final decay step: 1 up to ``walk.DECAY_T_MAX``, read only when
+    ``--t-max`` is given."""
+    from . import walk
+
+    return _int_at_least(1, at_most=walk.DECAY_T_MAX)(text)
+
+
+_decay_t_max.__name__ = "integer"
+
+
 def _add_common(sp):
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--seed", type=_int_at_least(0), default=0, help="root seed (u64)")
@@ -551,12 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spacing2x2", help="2x2 family level-spacing run")
-    sp.add_argument(
-        "--family",
-        required=True,
-        choices=[tag.value for tag in pseudo2x2.FamilyTag],
-        help="2x2 family",
-    )
+    sp.add_argument("--family", required=True, type=_family, help="2x2 family")
     sp.add_argument("--sigma", type=_positive_float, default=1.0, help="ensemble width")
     sp.add_argument("--epsilon", type=_positive_float, default=1.0, help="f3 scaling parameter")
     sp.add_argument("--count", type=_int_at_least(1), required=True, help="number of draws")
@@ -606,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rmt-decay", help="ensemble decay-law curves")
     sp.add_argument(
         "--t-max",
-        type=_int_at_least(1, at_most=walk.DECAY_T_MAX),
+        type=_decay_t_max,
         default=200,
         help="final time step",
     )

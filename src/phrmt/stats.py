@@ -96,15 +96,17 @@ def histogram(sample, edges, multiplicity: int = 1) -> Histogram:
     Each value counts ``multiplicity`` times, so counts and totals are those
     of the sample with every value repeated; for a power of two the
     densities are the same floats either way.  ValueError unless
-    ``multiplicity`` is an integer >= 1.
+    ``multiplicity`` is an integer >= 1 and the edges are finite and
+    strictly increasing.
     """
     multiplicity = _multiplicity(multiplicity)
     sample = np.ascontiguousarray(sample, dtype=float)
     edges = np.ascontiguousarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least 2 edges")
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing")
+    # not "any diff <= 0", which NaN passes
+    if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+        raise ValueError("edges must be finite and strictly increasing")
     _check_ascending(sample)
     counts = multiplicity * np.diff(np.searchsorted(sample, edges, side="left"))
     total = multiplicity * sample.size

@@ -132,6 +132,9 @@ class WalkState:
 
     @classmethod
     def delta(cls, n_sites: int, site: int = 0) -> "WalkState":
+        # a negative index would wrap around to another site
+        if not 0 <= site < n_sites:
+            raise ValueError(f"site must be in 0..{n_sites - 1}, got {site}")
         probs = np.zeros(n_sites)
         probs[site] = 1.0
         return cls(t=0, probs=probs)
@@ -186,8 +189,11 @@ def spectral_gap_mixing_time(cfg: WalkConfig, target: float = 1e-8) -> int:
     """Steps after which every non-stationary mode has decayed below target.
 
     Uses the second-largest eigenvalue modulus; raises for periodic or
-    decoupled rings (no spectral gap), where the walk never mixes.
+    decoupled rings (no spectral gap), where the walk never mixes, and
+    unless ``target`` is > 0.
     """
+    if not target > 0.0:  # also NaN
+        raise ValueError(f"target must be > 0, got {target!r}")
     lam = fourier(cfg.row)
     moduli = np.sort(np.abs(lam))
     second = moduli[-2]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -6,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from phrmt import cli
+from phrmt import circulant, cli, walk
 
 
 def run(*argv) -> int:
@@ -58,7 +61,7 @@ class TestSpacingCyclic:
         def never(*args):
             raise AssertionError("sampled before the generic-pair check")
 
-        monkeypatch.setattr(cli.circulant, "sample_rows", never)
+        monkeypatch.setattr(circulant, "sample_rows", never)
         out = tmp_path / "x"
         code = run(
             "spacing-cyclic", "--n", n, "--count", "2000000", "--class", "generic",
@@ -165,11 +168,11 @@ class TestDeterminism:
         names = ["rmt_decay_monte_carlo", "sample_decay_moduli"]
         for name in names:
 
-            def counting(*a, _fn=getattr(cli.walk, name), _name=name):
+            def counting(*a, _fn=getattr(walk, name), _name=name):
                 calls.append(_name)  # one append is atomic across the workers
                 return _fn(*a)
 
-            monkeypatch.setattr(cli.walk, name, counting)
+            monkeypatch.setattr(walk, name, counting)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         args = ["rmt-decay", "--t-max", "7", "--n", "9", "--realizations", "50", "--seed", "6"]
         assert run(*args, "--out", str(tmp_path / "out")) == cli.EXIT_OK
@@ -646,3 +649,108 @@ class TestDecayCommand:
         for n in (16, 64):
             per_site = rows[:, 1] / n
             assert np.allclose(n * per_site, rows[:, 1], rtol=1e-15)
+
+
+_MODULE_PROBE = """
+import json, sys
+from phrmt import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+phrmt = sorted(m.removeprefix("phrmt.") for m in sys.modules if m.startswith("phrmt."))
+print(json.dumps([code, phrmt, "concurrent.futures" in sys.modules]))
+"""
+
+
+class TestModuleSets:
+    """A CLI process loads only the library modules its subcommand runs.
+
+    Each case runs in a fresh interpreter: this one has loaded every module.
+    """
+
+    NEVER_FOR_WALK = {"blockcirc", "circulant", "stats", "pseudo2x2"}
+
+    @staticmethod
+    def probe(tmp_path, *argv) -> tuple[int | None, set[str], bool]:
+        """Exit code, library modules loaded besides ``cli``, and whether
+        ``concurrent.futures`` is loaded, after ``import phrmt.cli`` and,
+        given argv, ``cli.main(argv)``."""
+        src = str(Path(cli.__file__).parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MODULE_PROBE, *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        code, modules, futures = json.loads(proc.stdout.splitlines()[-1])
+        assert "cli" in modules
+        return code, set(modules) - {"cli"}, futures
+
+    def test_import_loads_no_library_module(self, tmp_path):
+        code, loaded, futures = self.probe(tmp_path)
+        assert loaded == set()
+        assert not futures  # it imports logging
+
+    @pytest.mark.parametrize(
+        "argv, never",
+        [
+            (["walk", "--sites", "22", "--w", "0.8", "--p", "0.3", "--t-max", "50"],
+             NEVER_FOR_WALK),
+            (["rmt-decay", "--t-max", "7", "--n", "9", "--realizations", "50"], NEVER_FOR_WALK),
+            (["rmt-decay", "--t-max", "7"], NEVER_FOR_WALK | {"seeding"}),
+            (["spacing2x2", "--family", "f1", "--count", "500"], {"blockcirc", "walk"}),
+            (["spacing2x2", "--family", "f2", "--count", "500"], {"blockcirc", "walk"}),
+            (["spacing-cyclic", "--n", "7", "--count", "50"], {"blockcirc", "pseudo2x2", "walk"}),
+            (["spacing-cyclic", "--n", "5", "--count", "50", "--blocks", "gaussian"], {"walk"}),
+            (["spacing-cyclic", "--n", "5", "--count", "50", "--blocks", "ising"], {"walk"}),
+        ],
+        ids=["walk", "rmt-decay", "rmt-decay-closed-form", "f1", "f2", "scalar", "gaussian",
+             "ising"],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, never):
+        code, loaded, _ = self.probe(tmp_path, *argv, "--out", "run")
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "run" / "manifest.json").exists()
+        assert loaded and loaded.isdisjoint(never), loaded & never
+
+    def test_replay_loads_only_what_the_command_runs(self, tmp_path):
+        argv = ["walk", "--sites", "22", "--w", "0.8", "--p", "0.3", "--t-max", "50"]
+        assert self.probe(tmp_path, *argv, "--out", "run")[0] == cli.EXIT_OK
+        code, loaded, _ = self.probe(tmp_path, "replay", "--manifest", "run/manifest.json",
+                                     "--out", "again")
+        assert code == cli.EXIT_OK
+        assert loaded.isdisjoint(self.NEVER_FOR_WALK), loaded & self.NEVER_FOR_WALK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spacing-cyclic", "--n", "2", "--count", "10"],
+            ["spacing2x2", "--count", "0", "--family", "f1"],
+            ["walk", "--sites", "1", "--w", "0.5", "--p", "0.5"],
+            ["rmt-decay", "--realizations", "1"],
+        ],
+        ids=["spacing-cyclic", "spacing2x2", "walk", "rmt-decay"],
+    )
+    def test_usage_error_loads_no_library_module(self, tmp_path, argv):
+        code, loaded, _ = self.probe(tmp_path, *argv, "--out", "never")
+        assert code == cli.EXIT_USAGE
+        assert loaded == set()
+
+    @pytest.mark.parametrize(
+        "argv, never",
+        [
+            (["spacing2x2", "--family", "f9", "--count", "10"], {"blockcirc", "seeding", "walk"}),
+            (["rmt-decay", "--t-max", "6000"], NEVER_FOR_WALK | {"seeding"}),
+        ],
+        ids=["family", "t-max"],
+    )
+    def test_flag_checked_by_its_module_loads_only_that_module(self, tmp_path, argv, never):
+        # the family names and the decay bound are each written once, in
+        # pseudo2x2 and walk, so checking the flag loads that module and what
+        # it imports, and nothing else
+        code, loaded, _ = self.probe(tmp_path, *argv, "--out", "never")
+        assert code == cli.EXIT_USAGE
+        assert loaded and loaded.isdisjoint(never), loaded & never

@@ -65,6 +65,17 @@ class TestHistogram:
         with pytest.raises(ValueError):
             stats.histogram([1.0], [0.0])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[0.0, math.nan, 1.0], [math.nan, 1.0], [-math.inf, 0.5, math.inf], [0.0, 1.0, math.inf]],
+        ids=["nan-inside", "nan-first", "both-infinite", "last-infinite"],
+    )
+    def test_non_finite_edges_rejected(self, edges):
+        # a NaN edge fails no "diff <= 0" test, and an infinite bin has
+        # density 0 for every value in it
+        with pytest.raises(ValueError, match="finite"):
+            stats.histogram([0.2, 0.5, 0.7], edges)
+
 
 class TestNormalizeUnitMean:
     def test_constant_sample(self):

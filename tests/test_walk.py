@@ -226,6 +226,18 @@ class TestEvolution:
             WalkState(0, np.array([-0.1, 1.1]))
 
 
+class TestWalkState:
+    @pytest.mark.parametrize("site", [-1, -5, 5, 7])
+    def test_delta_site_outside_ring_rejected(self, site):
+        # a negative site would wrap around to another one
+        with pytest.raises(ValueError, match="site"):
+            WalkState.delta(5, site)
+
+    @pytest.mark.parametrize("site", [0, 4])
+    def test_delta_at_each_end(self, site):
+        assert WalkState.delta(5, site).probs.tolist() == [float(i == site) for i in range(5)]
+
+
 class TestEntropy:
     def test_delta_zero(self):
         assert walk.entropy(WalkState.delta(10, 4)) == 0.0
@@ -241,6 +253,11 @@ class TestEntropy:
         tmix = walk.spectral_gap_mixing_time(RING22, target=1e-7)
         (state,) = walk.evolve_spectral(RING22, WalkState.delta(22, 0), [tmix])
         assert abs(walk.entropy(state) - math.log(22.0)) < 1e-8
+
+    @pytest.mark.parametrize("target", [0.0, -1e-8, math.nan])
+    def test_target_must_be_positive(self, target):
+        with pytest.raises(ValueError, match="target"):
+            walk.spectral_gap_mixing_time(RING22, target)
 
     def test_no_gap_rejected(self):
         with pytest.raises(ValueError):
