@@ -147,7 +147,9 @@ def sample_ising_blocks(
     A = [[a1, i a2], [-i a2, a1]] (Hermitian), B = [[-1/2, i b1],
     [i b2, -1/2]]; a1, a2, b1, b2 are i.i.d. zero-mean Gaussians of the given
     scale, drawn once per realization.  Needs n >= 3 so the row actually
-    contains A, at least one B, and B^dagger.
+    contains A, at least one B, and B^dagger; at n = 3 the row
+    (A, B, B^dagger) is that of a Hermitian matrix, so every eigenvalue is
+    real.
     """
     if n < 3:
         raise ValueError("coupled-chain row (A, B, ..., B^dagger) needs n >= 3 blocks")
@@ -242,7 +244,8 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
 
 
 def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Pooled spacing classes over a (count, 2N) batch of block spectra.
+    """The (cc, rc, generic) spacing samples, pooled over a (count, 2N) batch
+    of block spectra.
 
     Pairing is re-detected per realization (see ``_pair_batch``), and every
     qualifying pair is kept, read from a table of ``|e_i - e_j|`` over the
@@ -281,4 +284,4 @@ def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSam
         for k, values in enumerate((t[cc], t[rc], t[generic])):
             out[k][filled[k] : filled[k] + values.size] = values
             filled[k] += values.size
-    return tuple(SpacingSample(k, v) for k, v in zip(("cc", "rc", "generic"), out))
+    return tuple(SpacingSample(v) for v in out)

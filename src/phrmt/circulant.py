@@ -79,20 +79,13 @@ class Circulant:
         return self.first_row[(j - i) % n]
 
 
-def _multiplicity(m) -> int:
-    """``m`` as an int; ValueError unless it is an integer >= 1."""
-    if not hasattr(type(m), "__index__") or operator.index(m) < 1:
-        raise ValueError("multiplicity must be an integer >= 1")
-    return operator.index(m)
-
-
 @dataclass(frozen=True)
 class SpacingSample:
     """Scalar spacings of one class; each value stands for ``multiplicity``
     eigenvalue pairs whose spacings are that value exactly (2 for the scalar
-    circulant's rc and generic twins, see ``classify_spacings_batch``)."""
+    circulant's rc and generic twins, see ``classify_spacings_batch``).
+    ValueError unless ``multiplicity`` is an integer >= 1."""
 
-    klass: str  # "cc" | "rc" | "generic"
     values: np.ndarray
     multiplicity: int = 1
 
@@ -102,8 +95,11 @@ class SpacingSample:
             raise ValueError("SpacingSample values must be 1-d")
         if vals.size and vals.min() < 0:
             raise ValueError("spacings are nonnegative")
+        m = self.multiplicity
+        if not hasattr(type(m), "__index__") or operator.index(m) < 1:
+            raise ValueError("multiplicity must be an integer >= 1")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "multiplicity", _multiplicity(self.multiplicity))
+        object.__setattr__(self, "multiplicity", operator.index(m))
 
 
 @dataclass(frozen=True)
@@ -249,9 +245,9 @@ def _moduli(rows, i, j, out, scratch) -> None:
 def classify_spacings_batch(
     spectra: np.ndarray,
 ) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """Pooled spacing classes over a (count, n) batch of circulant spectra,
-    conjugate-symmetric bit for bit under l <-> n-l as ``batch_spectra``
-    gives them.
+    """The (cc, rc, generic) spacing samples, pooled over a (count, n) batch
+    of circulant spectra, conjugate-symmetric bit for bit under l <-> n-l
+    as ``batch_spectra`` gives them.
 
     The pairing p[l] = n - l mod n fixes each class's pair list.  A pair
     {i, j} and its twin {p[i], p[j]} have the same spacing: a cc pair is its
@@ -294,7 +290,7 @@ def classify_spacings_batch(
         for q, values in zip(kept, out):
             _moduli(rows, iu[q], ju[q], values[start : start + len(rows)], scratch)
     cc, rc, generic = (values.ravel() for values in out)
-    return SpacingSample("cc", cc), SpacingSample("rc", rc, 2), SpacingSample("generic", generic, 2)
+    return SpacingSample(cc), SpacingSample(rc, 2), SpacingSample(generic, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,10 @@ def _sort_finite(values: np.ndarray, what: str, flag: str) -> None:
         raise UsageError(f"{what} are not finite; {flag} is out of range")
 
 
-def _histogram_csv(
-    values: np.ndarray, bins: int, hi: float, analytic_pdf=None, multiplicity: int = 1
-) -> str:
+def _histogram_csv(values: np.ndarray, bins: int, hi: float, analytic_pdf=None) -> str:
     from . import stats
 
-    hist = stats.histogram(values, np.linspace(0.0, hi, bins + 1), multiplicity)
+    hist = stats.histogram(values, np.linspace(0.0, hi, bins + 1))
     cols = [hist.centers, hist.densities()]
     header = ["bin_center", "empirical_density"]
     if analytic_pdf is not None:
@@ -257,6 +255,12 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     if args.blocks == "none" and args.n <= 4 and args.klass == "generic":
         # at most two complex eigenvalues, which are one conjugate pair
         raise UsageError("no generic pairs for a scalar circulant with N <= 4")
+    if args.blocks == "ising" and args.n == 3:
+        # the chain's row (A, B, B^dagger) is that of a Hermitian matrix
+        raise UsageError(
+            "the coupled chain with N = 3 is Hermitian, so every eigenvalue is real and "
+            "no class has a spacing; --n must be at least 4 with --blocks ising"
+        )
 
     if args.blocks == "none":
         scale_flag = "--weight"
@@ -310,26 +314,22 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         # one array per class: normalised and sorted in place, then read by
         # both the histogram and the KS distance
         try:
-            values = stats.normalize_unit_mean(sample).values
+            values = stats.normalize_unit_mean(sample.values)
         except ValueError as exc:
             raise UsageError(f"{klass} spacings: {exc}; {scale_flag} is out of range")
         _sort_finite(values, f"{klass} spacings", scale_flag)
-        # a scalar rc or generic value stands for two pairs, and histogram
-        # and report count pairs
-        files[f"spacing_{klass}.csv"] = _histogram_csv(
-            values, args.bins, 5.0, pdf, sample.multiplicity
-        )
+        files[f"spacing_{klass}.csv"] = _histogram_csv(values, args.bins, 5.0, pdf)
         rep = stats.ks_statistic(
-            values,
-            cdf,
-            pass_threshold=args.ks_threshold,
-            label=f"spacing_{klass}",
-            multiplicity=sample.multiplicity,
+            values, cdf, pass_threshold=args.ks_threshold, label=f"spacing_{klass}"
         )
-        # the coupled-chain ensemble does not follow the scalar laws (its cc
-        # law is derived in docs/decisions.md), so its reports are
-        # reference-only
-        rep = dataclasses.replace(rep, reference_only=args.blocks == "ising")
+        # a stored value stands for ``multiplicity`` pairs, and the report
+        # counts pairs; repeating each value would not move a bit of the
+        # distance or the densities (docs/decisions.md).  The coupled-chain
+        # ensemble does not follow the scalar laws (its cc law is derived
+        # there too), so its reports are reference-only
+        rep = dataclasses.replace(
+            rep, n=sample.multiplicity * rep.n, reference_only=args.blocks == "ising"
+        )
         reports.append(rep)
         files[f"gof_{klass}.json"] = _json_text(dataclasses.asdict(rep))
     return files, reports
@@ -387,9 +387,16 @@ def cmd_walk(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     ent = np.empty(ts.size)
     dev = np.empty(ts.size)
     uniform = 1.0 / cfg.n_sites
-    for i, state in enumerate(walk.evolve_spectral(cfg, state0, ts)):
-        ent[i] = walk.entropy(state)
-        dev[i] = float(np.max(np.abs(state.probs - uniform)))
+    try:
+        for i, state in enumerate(walk.evolve_spectral(cfg, state0, ts)):
+            ent[i] = walk.entropy(state)
+            dev[i] = float(np.max(np.abs(state.probs - uniform)))
+    except ValueError as exc:
+        # the start is a valid state, so only the row can fail an evolved one
+        raise UsageError(
+            f"hop row sums to {float(cfg.row.sum())!r}, too far from 1 for "
+            f"--t-max {args.t_max}: {exc}"
+        )
     header = ["t", "entropy_kb", "max_abs_dev_from_uniform"]
     return {"walk.csv": _csv_text(header, [ts, ent, dev])}, []
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circulant
-from .circulant import SpacingSample, _multiplicity, _step_rows
+from .circulant import _step_rows
 from .specfun import erf
 
 __all__ = [
@@ -86,20 +86,15 @@ def _check_ascending(x: np.ndarray) -> None:
             raise ValueError("sample must be sorted ascending")
 
 
-def histogram(sample, edges, multiplicity: int = 1) -> Histogram:
+def histogram(sample, edges) -> Histogram:
     """Bin a sample into half-open bins; a value equal to the first edge lands
     in the first bin, a value equal to the last edge is out of range.
 
     The sample must be sorted ascending (NaN last, as ``np.sort`` leaves it),
     else ValueError: each bin's count is the distance between the insertion
     points of its two edges, so NaN, above every edge, is out of range.
-    Each value counts ``multiplicity`` times, so counts and totals are those
-    of the sample with every value repeated; for a power of two the
-    densities are the same floats either way.  ValueError unless
-    ``multiplicity`` is an integer >= 1 and the edges are finite and
-    strictly increasing.
+    ValueError unless the edges are finite and strictly increasing.
     """
-    multiplicity = _multiplicity(multiplicity)
     sample = np.ascontiguousarray(sample, dtype=float)
     edges = np.ascontiguousarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -108,42 +103,37 @@ def histogram(sample, edges, multiplicity: int = 1) -> Histogram:
     if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
         raise ValueError("edges must be finite and strictly increasing")
     _check_ascending(sample)
-    counts = multiplicity * np.diff(np.searchsorted(sample, edges, side="left"))
-    total = multiplicity * sample.size
-    return Histogram(edges=edges, counts=counts, total=total, n_out=int(total - counts.sum()))
+    counts = np.diff(np.searchsorted(sample, edges, side="left"))
+    return Histogram(
+        edges=edges, counts=counts, total=sample.size, n_out=int(sample.size - counts.sum())
+    )
 
 
-def normalize_unit_mean(sample: SpacingSample) -> SpacingSample:
-    """Rescale a spacing sample so its mean is exactly 1.
+def normalize_unit_mean(values: np.ndarray) -> np.ndarray:
+    """Rescale a float array of spacings so its mean is exactly 1.
 
-    Takes ownership: the values are divided in place, and the sample given
+    Takes ownership: the values are divided in place, and the array given
     is returned.
     """
-    vals = sample.values
-    if vals.size == 0:
+    if values.size == 0:
         raise ValueError("cannot normalize an empty sample")
-    mean = float(vals.mean())
+    mean = float(values.mean())
     if not math.isfinite(mean):
         raise ValueError("cannot normalize a sample whose mean is not finite")
     if mean <= 0.0:
         raise ValueError("cannot normalize a sample with nonpositive mean")
-    np.divide(vals, mean, out=vals)
-    return sample
+    np.divide(values, mean, out=values)
+    return values
 
 
-def ks_statistic(
-    sample, cdf, pass_threshold: float = 1.0, label: str = "", multiplicity: int = 1
-) -> GofReport:
+def ks_statistic(sample, cdf, pass_threshold: float = 1.0, label: str = "") -> GofReport:
     """Sup-norm distance between the empirical CDF of a sorted sample and a
     reference CDF.  The sample must already be sorted ascending.
 
     ``cdf`` must act element by element: it is evaluated one slice at a
     time, and the max of the slices' sups is the whole sample's sup, bit for
-    bit.  Each value counts ``multiplicity`` times: the distance is that of
-    the sample with every value repeated, bit for bit, and ``n`` its size.
-    ValueError unless ``multiplicity`` is an integer >= 1.
+    bit.  ``n`` is the number of values given.
     """
-    multiplicity = _multiplicity(multiplicity)
     x = np.ascontiguousarray(sample, dtype=float)
     n = x.size
     if n == 0:
@@ -163,7 +153,7 @@ def ks_statistic(
     d = float(np.max(sups))
     return GofReport(
         ks_distance=d,
-        n=multiplicity * n,
+        n=n,
         pass_threshold=pass_threshold,
         passed=bool(d < pass_threshold),
         label=label,

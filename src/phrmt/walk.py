@@ -46,9 +46,10 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-# Round-off allowed below zero in a spectrally evolved occupation, per ring
-# site plus per time step; the worst seen is about 13 eps in all on rings of
-# 22 to 2048 sites and 0.8 eps per step on pure rotations to 10^6 steps.
+# Round-off allowed in a spectrally evolved occupation, below zero and in its
+# sum, per ring site plus per time step; the worst seen below zero is about
+# 13 eps in all on rings of 22 to 2048 sites and 0.8 eps per step on pure
+# rotations to 10^6 steps, and the 22-site ring's sum drifts by 0.5 eps a step.
 _SPECTRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
 # Normalization of the decay law: 1 / (erf(sqrt(pi)/2) - exp(-pi/4)).
@@ -109,7 +110,8 @@ class WalkConfig:
 class WalkState:
     """Site-occupation probabilities at an integer time.
 
-    Entries down to ``-roundoff`` count as round-off and are clipped to 0;
+    Entries down to ``-roundoff`` count as round-off and are clipped to 0,
+    and the sum may miss 1 by the larger of ``roundoff`` and 1e-12;
     ``roundoff`` is a check on construction, not a stored field.
     """
 
@@ -124,10 +126,11 @@ class WalkState:
         if probs.min() < -roundoff:
             raise ValueError("occupation probabilities must be nonnegative")
         # the sum is checked on the stored (clipped) array, so every state
-        # passes its own constructor again
+        # passes its own constructor again at the same roundoff
         probs = np.clip(probs, 0.0, None)
-        if abs(probs.sum() - 1.0) > _PROB_TOL:
-            raise ValueError(f"occupation probabilities must sum to 1, got {probs.sum()!r}")
+        total = float(probs.sum())
+        if abs(total - 1.0) > max(_PROB_TOL, roundoff):
+            raise ValueError(f"occupation probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "probs", probs)
 
     @classmethod
@@ -155,9 +158,12 @@ def evolve_spectral(
 
     Evolved occupations may lie below zero by round-off that may grow with
     the ring size (each transform sums N terms) and, for unit-modulus modes,
-    grows with the time (the phase of lambda^t), so they are checked against
-    a tolerance in proportion to N + t rather than the fixed one for states
-    a caller builds.
+    grows with the time (the phase of lambda^t), and their sum is the row
+    sum to the power t, which drifts from 1 by the row's own round-off each
+    step.  So both are checked against a tolerance in proportion to N + t
+    rather than the fixed ones for states a caller builds, and a state
+    whose mass drifts past it raises ValueError: the row does not sum to 1
+    closely enough for that many steps.
     """
     steps = [int(s) for s in steps]
     if min(steps, default=0) < 0:

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from phrmt import circulant, cli, walk
+from phrmt import blockcirc, circulant, cli, walk
 
 
 def run(*argv) -> int:
@@ -70,6 +70,23 @@ class TestSpacingCyclic:
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no generic pairs" in err
+        assert not out.exists()
+
+    def test_chain_at_n3_fails_before_sampling(self, tmp_path, monkeypatch, capsys):
+        # the chain's row (A, B, B^dagger) is Hermitian at N = 3, so no
+        # eigenvalue is complex at any --block-scale
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the N = 3 check")
+
+        monkeypatch.setattr(blockcirc, "sample_ising_blocks", never)
+        out = tmp_path / "x"
+        code = run(
+            "spacing-cyclic", "--n", "3", "--count", "2000000", "--blocks", "ising",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--n" in err and "--block-scale" not in err
         assert not out.exists()
 
     def test_block_run_and_ising_reference_flag(self, tmp_path):
@@ -439,8 +456,8 @@ class TestNothingWrittenOnError:
         assert blocker.read_text() == ""
 
     def test_usage_error_creates_no_directory(self, tmp_path):
-        # the coupled chain at N = 3 has no conjugate pairs: found after
-        # sampling, but before anything is written
+        # the coupled chain at N = 3 has no conjugate pairs: refused before
+        # sampling, so before anything is written
         out = tmp_path / "never"
         code = run(
             "spacing-cyclic", "--n", "3", "--count", "10", "--blocks", "ising",
@@ -549,6 +566,32 @@ class TestWalkCommand:
         assert run("walk", *argv, "--t-max", "3", "--out", str(out)) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
+        assert not out.exists()
+
+    def test_long_ring_walk_runs(self, tmp_path):
+        # the ring's evolved mass drifts by 1.1e-16 a step, past a fixed
+        # 1e-12 at t = 9009 but inside the round-off bound of the evolution
+        out = tmp_path / "w"
+        argv = ["--sites", "22", "--w", "0.8", "--p", "0.3", "--t-max", "10000"]
+        assert run("walk", *argv, "--out", str(out)) == cli.EXIT_OK
+        rows = np.loadtxt(out / "walk.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (10001, 3)
+        assert abs(rows[-1, 1] - np.log(22.0)) < 1e-9
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_drifting_row_is_usage_error(self, tmp_path, capsys, source):
+        # the row passes WalkConfig's 1e-12 sum check, but its mass drifts
+        # past round-off at step 2: one line naming the hop row, no output
+        if source == "flag":
+            argv = ["--row", "0.5,0.5000000000009"]
+        else:
+            cfgfile = tmp_path / "drift.cfg"
+            cfgfile.write_text("row = 0.5, 0.5000000000009\n")
+            argv = ["--config", str(cfgfile)]
+        out = tmp_path / "never"
+        assert run("walk", *argv, "--t-max", "10", "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "hop row" in err and "--t-max 10" in err
         assert not out.exists()
 
     def test_bad_config_line_is_usage_error(self, tmp_path):

@@ -79,40 +79,39 @@ class TestHistogram:
 
 class TestNormalizeUnitMean:
     def test_constant_sample(self):
-        out = stats.normalize_unit_mean(SpacingSample("cc", np.array([2.0, 2.0, 2.0])))
-        assert out.values.tolist() == [1.0, 1.0, 1.0]
-        assert out.klass == "cc"
+        out = stats.normalize_unit_mean(np.array([2.0, 2.0, 2.0]))
+        assert out.tolist() == [1.0, 1.0, 1.0]
 
     def test_mean_exactly_one(self):
         rng = np.random.default_rng(3)
-        out = stats.normalize_unit_mean(SpacingSample("rc", rng.random(1000) + 0.1))
-        assert float(out.values.mean()) == pytest.approx(1.0, abs=1e-12)
+        out = stats.normalize_unit_mean(rng.random(1000) + 0.1)
+        assert float(out.mean()) == pytest.approx(1.0, abs=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
-        s = SpacingSample("generic", rng.random(100) + 0.5)
+        s = rng.random(100) + 0.5
         # normalisation is in place, so copy the first result before the second
-        first = stats.normalize_unit_mean(s).values.copy()
+        first = stats.normalize_unit_mean(s).copy()
         twice = stats.normalize_unit_mean(s)
-        assert np.allclose(first, twice.values, rtol=0, atol=1e-15)
+        assert np.allclose(first, twice, rtol=0, atol=1e-15)
 
     def test_in_place(self):
-        s = SpacingSample("rc", np.array([1.0, 3.0]))
-        expect = s.values / 2.0
+        s = np.array([1.0, 3.0])
+        expect = s / 2.0
         out = stats.normalize_unit_mean(s)
         assert out is s
-        assert out.values.tobytes() == expect.tobytes()
+        assert out.tobytes() == expect.tobytes()
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            stats.normalize_unit_mean(SpacingSample("cc", np.array([])))
+            stats.normalize_unit_mean(np.array([]))
         with pytest.raises(ValueError, match="nonpositive"):
-            stats.normalize_unit_mean(SpacingSample("cc", np.array([0.0, 0.0])))
+            stats.normalize_unit_mean(np.array([0.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_mean_not_finite(self, bad):
         with pytest.raises(ValueError, match="not finite"):
-            stats.normalize_unit_mean(SpacingSample("cc", np.array([1.0, bad])))
+            stats.normalize_unit_mean(np.array([1.0, bad]))
 
 
 class TestKsStatistic:
@@ -227,29 +226,27 @@ class TestSortedPassMatchesOracles:
     @pytest.mark.parametrize("law", sorted(_CDFS))
     @pytest.mark.parametrize("nan", [False, True], ids=["no-nan", "nan"])
     def test_multiplicity_is_the_repeated_sample(self, monkeypatch, slice_, law, nan):
-        # each value counted twice gives the KS distance, counts and
-        # densities of the sample with every value repeated, bit for bit,
-        # and its n, total and n_out
+        # every value repeated gives the KS distance and densities of the
+        # sample, bit for bit, so a value that stands for two pairs needs
+        # only its report's n doubled
         monkeypatch.setattr(circulant, "_STEP", slice_)
         x = _edge_case_sample(nan)
         twice = np.repeat(x, 2)
-        got = stats.ks_statistic(x, _CDFS[law], multiplicity=2)
-        want = stats.ks_statistic(twice, _CDFS[law])
-        assert (got.ks_distance.hex(), got.n) == (want.ks_distance.hex(), want.n)
-        h, h2 = stats.histogram(x, _EDGES, 2), stats.histogram(twice, _EDGES)
-        assert (h.counts.tolist(), h.total, h.n_out) == (h2.counts.tolist(), h2.total, h2.n_out)
-        assert h.densities().tobytes() == h2.densities().tobytes()
+        got = stats.ks_statistic(twice, _CDFS[law])
+        want = stats.ks_statistic(x, _CDFS[law])
+        assert (got.ks_distance.hex(), got.n) == (want.ks_distance.hex(), 2 * want.n)
+        h2, h = stats.histogram(twice, _EDGES), stats.histogram(x, _EDGES)
+        assert (h2.counts.tolist(), h2.total, h2.n_out) == (
+            (2 * h.counts).tolist(), 2 * h.total, 2 * h.n_out
+        )
+        assert h2.densities().tobytes() == h.densities().tobytes()
 
     @pytest.mark.parametrize("multiplicity", [0, -1, 2.5])
     def test_multiplicity_must_be_a_positive_integer(self, multiplicity):
         # each value stands for a whole number of pairs, at least one
         x = np.array([0.5, 1.0, 2.0])
         with pytest.raises(ValueError, match="multiplicity"):
-            stats.histogram(x, _EDGES, multiplicity)
-        with pytest.raises(ValueError, match="multiplicity"):
-            stats.ks_statistic(x, stats.cdf_cc, multiplicity=multiplicity)
-        with pytest.raises(ValueError, match="multiplicity"):
-            SpacingSample("rc", x, multiplicity)
+            SpacingSample(x, multiplicity)
 
     def test_sorted_pass_scratch_is_bounded(self):
         # normalise, sort, histogram and KS of one class hold the sample once
@@ -258,8 +255,7 @@ class TestSortedPassMatchesOracles:
         rng = np.random.default_rng(22)
         tracemalloc.start()
         try:
-            sample = SpacingSample("generic", rng.rayleigh(size=2_000_000))
-            values = stats.normalize_unit_mean(sample).values
+            values = stats.normalize_unit_mean(rng.rayleigh(size=2_000_000))
             values.sort()
             stats.histogram(values, _EDGES)
             stats.ks_statistic(values, stats.cdf_generic)

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import math
 import sys
 import tracemalloc
@@ -218,6 +219,24 @@ class TestEvolution:
         cfg = WalkConfig.ring(5, 1.0, 1.0)
         out = walk.evolve_spectral(cfg, WalkState.delta(5, 0), range(995, 1001))
         assert [int(np.argmax(s.probs)) for s in out] == [(-t) % 5 for t in range(995, 1001)]
+
+    def test_long_walk_mass_drift_within_scaled_roundoff(self):
+        # the ring's row sums to 1 - eps/2, so its evolved mass drifts by
+        # eps/2 a step: past the fixed 1e-12 from t = 9009, far inside
+        # 16 eps (N + t)
+        assert 1.0 - RING22.row.sum() == np.finfo(float).eps / 2
+        states = walk.evolve_spectral(RING22, WalkState.delta(22, 0), [9009, 10_000])
+        for state in states:
+            assert 1e-12 < 1.0 - state.probs.sum() < 2e-12
+
+    def test_row_that_drifts_past_roundoff_is_refused(self):
+        # a row within 1e-12 of summing to 1 is a valid configuration, but its
+        # mass, (1 + 9e-13)^t, leaves the round-off bound at t = 2
+        cfg = WalkConfig([0.5, 0.5000000000009])
+        states = walk.evolve_spectral(cfg, WalkState.delta(2, 0), range(3))
+        assert [s.t for s in itertools.islice(states, 2)] == [0, 1]
+        with pytest.raises(ValueError, match="sum to 1"):
+            next(states)
 
     def test_negative_input_still_rejected(self):
         with pytest.raises(ValueError):
