@@ -17,9 +17,13 @@ total dimension 2N).  Two ensembles are provided:
 
 Eigenvalues come from the block Fourier reduction: the 2x2 transform blocks
 Ahat_l = sum_p A_p exp(2 pi i p l / N) are diagonalized independently, which
-matches a dense eigensolver on the full matrix.  Conjugation pairing of the
-2N eigenvalues is detected numerically, because the index rule l <-> N-l
-pairs blocks, not the two eigenvalues inside a block.
+matches a dense eigensolver on the full matrix.  Both ensembles have spectra
+closed under conjugation mode by mode (mode N-l holds the conjugates of mode
+l), so only modes 0..N/2 are solved and mode N-l is written as the exact
+conjugates of mode l.  Every rc and generic spacing then has a twin of the
+same bits, and ``classify_block_batch`` stores each such pair of twins once.
+Which eigenvalues count as real, and the cc partners, are still detected
+numerically, within a tolerance relative to the spectrum.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 
 from .circulant import SpacingSample, Spectrum, _moduli, _pair_numbers, _step_rows, generalized_parity
 from .pseudo2x2 import eigenvalues2
-from .specfun import fourier
 
 __all__ = [
     "BlockCirculant",
@@ -47,7 +50,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # Relative tolerance of conjugate pairing: an eigenvalue is real, and two
 # eigenvalues are conjugates, within _RTOL * max |eigenvalue| of its spectrum,
-# so the pairing does not depend on the unit of the spectrum.
+# so the pairing does not depend on the unit of the spectrum.  Transform modes
+# l and N-l are conjugates within it too (see ``_conjugate_rows``).
 _RTOL = 1e-9
 
 
@@ -97,7 +101,20 @@ def pseudo_orthogonality_residual_block(b: BlockCirculant) -> float:
 
 
 def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
-    """Spectra of many block circulants: (count, N, 2, 2) -> (count, 2N).
+    """Spectra of many block circulants: (count, N, 2, 2) -> (count, 2N),
+    with eigenvalue E+ of mode l at index 2l and E- at 2l + 1.
+
+    With U and V the real-input transforms of the real and imaginary parts
+    of the entries, mode l <= N/2 is Ahat_l = conj(U_l) + i conj(V_l) and
+    mode N-l is U_l + i V_l.  Only modes 0..N/2 are solved.  Mode N-l is
+    written as the conjugates of mode l, in the same (E+, E-) order, where
+    its trace and determinant are the conjugates of mode l's to a relative
+    tolerance (see ``_conjugate_rows``): exactly for real blocks, and to
+    rounding for the coupled chain, whose D_(N-l) is conj(D_l).  Then every
+    twin is exact.  A row where some mode is not has its upper modes solved
+    as they are, so its spectrum is right and its twins are not exact.  In
+    modes 0 and N/2, U_l and V_l are real, so an entry part that is exactly
+    zero in every block stays exactly zero there.
 
     The stack is transformed and solved in steps of rows, so beyond its
     spectra a call holds one step's temporaries; a row's eigenvalues depend
@@ -107,12 +124,43 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
     if blocks.ndim != 4 or blocks.shape[2:] != (2, 2):
         raise ValueError("expected shape (count, N, 2, 2)")
     count, n = blocks.shape[:2]
+    h = n // 2 + 1  # modes 0..N/2 are solved
+    k = n - h  # modes h..N-1 are the twins of modes k..1
     eigs = np.empty((count, n, 2), dtype=complex)
     step = _step_rows(4 * n)  # block entries per row
     for start in range(0, count, step):
-        rows = slice(start, start + step)
-        eigs[rows, :, 0], eigs[rows, :, 1] = eigenvalues2(fourier(blocks[rows], axis=-3))
+        x = blocks[start : start + step]
+        # one transform of the eight entry parts: real parts at even lanes
+        f = np.fft.rfft(x.view(float).reshape(len(x), n, 8), axis=1)
+        u, v = f[..., ::2].reshape(-1, h, 2, 2), f[..., 1::2].reshape(-1, h, 2, 2)
+        lower = np.empty_like(u)
+        np.add(u.real, v.imag, out=lower.real)
+        np.subtract(v.real, u.imag, out=lower.imag)
+        e = eigs[start : start + step]
+        e[:, :h, 0], e[:, :h, 1] = eigenvalues2(lower)
+        np.conjugate(e[:, k:0:-1], out=e[:, h:])
+        solve = np.flatnonzero(~_conjugate_rows(f[:, 1 : k + 1]))
+        if solve.size:
+            upper = u[solve, k:0:-1] + 1j * v[solve, k:0:-1]
+            e[solve, h:, 0], e[solve, h:, 1] = eigenvalues2(upper)
     return eigs.reshape(count, -1)
+
+
+def _conjugate_rows(f: np.ndarray) -> np.ndarray:
+    """Rows of a (rows, modes, 8) stack of lane transforms (U00, V00, U01,
+    V01, U10, V10, U11, V11) at modes l in which every mode N-l, U + i V,
+    has the conjugate trace and determinant of mode l, conj(U) + i conj(V),
+    so conjugate eigenvalues.  The traces differ by 2i (V00 + V11) and the
+    determinants by 2i (U00 V11 + V00 U11 - U01 V10 - V01 U10); both must be
+    within _RTOL once the transforms are divided by the row's largest part.
+    A row with a non-finite or no nonzero part is not one."""
+    parts = f.view(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = (parts / np.abs(parts).max(axis=(1, 2), keepdims=True, initial=0.0)).view(complex)
+    u00, v00, u01, v01, u10, v10, u11, v11 = np.moveaxis(f, -1, 0)
+    tr = v00 + v11
+    det = u00 * v11 + v00 * u11 - u01 * v10 - v01 * u10
+    return ((np.abs(tr) <= _RTOL) & (np.abs(det) <= _RTOL)).all(axis=1)
 
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:
@@ -245,22 +293,46 @@ def _pair_batch(spectra: np.ndarray) -> np.ndarray:
 
 def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
     """The (cc, rc, generic) spacing samples, pooled over a (count, 2N) batch
-    of block spectra.
+    of block spectra laid out as ``batch_block_spectra`` gives them.
 
     Pairing is re-detected per realization (see ``_pair_batch``), and every
-    qualifying pair is kept, read from a table of ``|e_i - e_j|`` over the
-    step's rows and pairs ``i < j``.  Values come by row, then in (i, j)
+    cc pair is kept.  The twin of eigenvalue 2l + s is 2(N-l) + s; in the
+    self-paired modes 0 and N/2 it is itself if its imaginary part is 0, and
+    the other eigenvalue of its mode if not.  It is never the tolerance
+    partner: the chain's modes N/3 and 2N/3 hold eigenvalues the tolerance
+    calls real, whose twins are in the other mode.  The twin of an rc or
+    generic pair {i, j} is {twin i, twin j}, another pair of its class with
+    the same spacing; of the two only the one whose pair number is no larger
+    is kept, with multiplicity 2.  Values come by row, then in (i, j)
     row-major order, as from the oracle ``classify_spacings`` in
-    ``tests/oracles.py``.
+    ``tests/oracles.py`` at the pairs kept, from a table of ``|e_i - e_j|``
+    over the step's rows and pairs ``i < j``.
+
+    ValueError if a row's twins are not conjugates bit for bit, since then a
+    twin's spacing is not the kept pair's; each step of rows is checked
+    before its moduli are taken.
     """
     spectra = np.ascontiguousarray(spectra, dtype=complex)
     partner = _pair_batch(spectra)
     count, n = spectra.shape
+    if n % 2:
+        raise ValueError("block spectra hold 2N eigenvalues a row")
     iu, ju, col = _pair_numbers(n)
     idx = np.arange(n)
-    # class sizes of a row with c complex and n - c real eigenvalues
+    # the twin maps: 2l + s -> 2(N-l) + s, with each self-paired mode's two
+    # eigenvalues mapped to themselves or to each other, one map per choice
+    mode, sign = np.divmod(idx, 2)
+    lead = np.flatnonzero((mode == -mode % (n // 2)) & (sign == 0))  # E+ of modes 0, N/2
+    flip = np.arange(2**lead.size)[:, None] >> np.arange(lead.size) & 1
+    twins = np.tile(2 * (-mode % (n // 2)) + sign, (len(flip), 1))
+    twins[:, lead] += flip
+    twins[:, lead + 1] -= flip
+    # whether each pair comes no later than its twin, under each map
+    first = np.arange(iu.size) <= col[twins[:, iu], twins[:, ju]]
+    # class sizes of a row with c complex and n - c real eigenvalues; every
+    # rc and generic pair has a twin other than itself, so half are kept
     c = np.count_nonzero(partner != idx, axis=1)
-    sizes = (c // 2, (n - c) * c, c * (c - 1) // 2 - c // 2)
+    sizes = (c // 2, (n - c) * c // 2, c * (c - 2) // 4)
     out = [np.empty(int(size.sum())) for size in sizes]
     filled = [0, 0, 0]
     step = _step_rows(iu.size)
@@ -268,20 +340,34 @@ def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSam
     scratch = np.empty(table.size, dtype=complex)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
+        # a self-paired mode maps to itself when its E+ is real
+        which = (rows[:, lead].imag != 0) @ (1 << np.arange(lead.size))
+        mates = np.take_along_axis(rows, twins[which], 1)
+        inexact = np.flatnonzero((mates != rows.conj()).any(axis=1))
+        if inexact.size:
+            raise ValueError(
+                f"spectrum row {start + inexact[0]} has no exact twins: eigenvalue 2(N-l)+s "
+                "must be the conjugate of 2l+s bit for bit, as batch_block_spectra gives them"
+            )
         t = table[: len(rows)]
         _moduli(rows, iu, ju, t, scratch)
         part = partner[start : start + len(rows)]
         comp = part != idx
+        keep = first[which]
         row, i = np.nonzero(idx < part)
         cc = row, col[i, part[row, i]]
         # each real eigenvalue against the complex ones of its row
         row, i = np.nonzero(~comp)
         pick, j = np.nonzero(comp[row])
-        rc = row[pick], col[i[pick], j]
+        row, q = row[pick], col[i[pick], j]
+        kept = keep[row, q]
+        rc = row[kept], q[kept]
         generic = comp.take(iu, 1)
         generic &= comp.take(ju, 1)
         generic[cc] = False
+        generic &= keep
         for k, values in enumerate((t[cc], t[rc], t[generic])):
             out[k][filled[k] : filled[k] + values.size] = values
             filled[k] += values.size
-    return tuple(SpacingSample(v) for v in out)
+    cc, rc, generic = out
+    return SpacingSample(cc), SpacingSample(rc, 2), SpacingSample(generic, 2)

@@ -82,8 +82,9 @@ class Circulant:
 @dataclass(frozen=True)
 class SpacingSample:
     """Scalar spacings of one class; each value stands for ``multiplicity``
-    eigenvalue pairs whose spacings are that value exactly (2 for the scalar
-    circulant's rc and generic twins, see ``classify_spacings_batch``).
+    eigenvalue pairs whose spacings are that value exactly (2 for the rc and
+    generic twins of scalar and block circulants, see
+    ``classify_spacings_batch`` and ``blockcirc.classify_block_batch``).
     ValueError unless ``multiplicity`` is an integer >= 1."""
 
     values: np.ndarray

@@ -261,6 +261,12 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             "the coupled chain with N = 3 is Hermitian, so every eigenvalue is real and "
             "no class has a spacing; --n must be at least 4 with --blocks ising"
         )
+    if args.blocks != "none" and args.block_scale < np.finfo(float).tiny:
+        # subnormal draws carry too few bits to tell eigenvalues apart
+        raise UsageError(
+            "block draws at this scale are subnormal, below the smallest normal float; "
+            "--block-scale is out of range"
+        )
 
     if args.blocks == "none":
         scale_flag = "--weight"

@@ -81,7 +81,7 @@ class WalkConfig:
         if row.min() < 0:
             raise ValueError("hop probabilities must be nonnegative")
         if abs(row.sum() - 1.0) > _PROB_TOL:
-            raise ValueError(f"hop row must sum to 1, got {row.sum()!r}")
+            raise ValueError(f"hop row must sum to 1, got {float(row.sum())!r}")
         row.flags.writeable = False
         object.__setattr__(self, "row", row)
 

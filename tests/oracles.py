@@ -229,13 +229,48 @@ def whole_array_ks(x, cdf) -> float:
     return max(float(np.max(f - i / x.size)), float(np.max((i + 1) / x.size - f)))
 
 
-def whole_stack_block_spectra(blocks, fourier, eigenvalues2) -> np.ndarray:
-    """Spectra of a (count, N, 2, 2) stack with the block transform and the
-    2x2 solve each applied to the whole stack at once: the reference for the
-    library's stepped ``batch_block_spectra``.  It takes the library's own
-    transform and solver, since the steps must not change a bit of theirs."""
-    eigs = np.stack(eigenvalues2(fourier(blocks, axis=-3)), axis=-1)
-    return eigs.reshape(blocks.shape[0], -1)
+def whole_stack_block_spectra(blocks, eigenvalues2) -> np.ndarray:
+    """Spectra of a (count, N, 2, 2) stack whose mode N-l holds the
+    conjugates of mode l, with the transform and the 2x2 solve of modes
+    0..N/2 each applied to the whole stack at once, and mode N-l written as
+    the conjugates of mode l: the reference for the library's stepped
+    ``batch_block_spectra``.  Mode l <= N/2 is conj(U_l) + i conj(V_l), from
+    numpy's real-input transforms U and V of the entries' real and imaginary
+    parts.  It takes the library's own solver, since the steps must not
+    change a bit of it."""
+    count, n = blocks.shape[:2]
+    u = np.fft.rfft(blocks.real, axis=1)
+    v = np.fft.rfft(blocks.imag, axis=1)
+    modes = np.empty_like(u)
+    modes.real = u.real + v.imag
+    modes.imag = v.real - u.imag
+    eigs = np.empty((count, n, 2), dtype=complex)
+    half = n // 2 + 1
+    eigs[:, :half, 0], eigs[:, :half, 1] = eigenvalues2(modes)
+    for l in range(1, n - half + 1):
+        eigs[:, n - l] = np.conj(eigs[:, l])
+    return eigs.reshape(count, -1)
+
+
+def block_twins(eigs) -> np.ndarray:
+    """The twin of each eigenvalue of one block spectrum laid out mode by
+    mode (E+ of mode l at 2l, E- at 2l + 1), one index at a time.  Mode N-l
+    holds the conjugates of mode l, place for place.  In a mode that is its
+    own twin (l = 0, and l = N/2 at even N) an eigenvalue with imaginary
+    part 0 is its own twin, and any other is the conjugate of the other
+    eigenvalue of its mode.  Tolerances play no part."""
+    n_modes = len(eigs) // 2
+    twin = np.empty(len(eigs), dtype=int)
+    for i in range(len(eigs)):
+        l, s = divmod(i, 2)
+        other = (n_modes - l) % n_modes
+        if other != l:
+            twin[i] = 2 * other + s
+        elif eigs[i].imag == 0:
+            twin[i] = i
+        else:
+            twin[i] = 2 * l + 1 - s
+    return twin
 
 
 def quad_lower_gamma(a: float, z: float) -> float:
@@ -429,16 +464,17 @@ def classify_spacings(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.abs(spec.eigs[a] - spec.eigs[b]) for a, b in spacing_pairs(spec))
 
 
-def first_of_twins(partner: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def first_of_twins(twin: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the index pairs ``{a, b}`` that come no later, in (i, j)
-    row-major order over ``i < j``, than their twin ``{partner[a],
-    partner[b]}``; a pair that is its own twin is kept."""
-    n = partner.size
+    row-major order over ``i < j``, than their twin ``{twin[a], twin[b]}``
+    (the scalar pairing, or ``block_twins``); a pair that is its own twin
+    is kept."""
+    n = twin.size
 
     def rank(x, y):
         return np.minimum(x, y) * n + np.maximum(x, y)
 
-    return rank(a, b) <= rank(partner[a], partner[b])
+    return rank(a, b) <= rank(twin[a], twin[b])
 
 
 # Relative tolerance of conjugate pairing; the library's ``blockcirc._RTOL``.

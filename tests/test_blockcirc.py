@@ -6,7 +6,6 @@ import pytest
 import oracles
 from phrmt import blockcirc, circulant, pseudo2x2, seeding, stats
 from phrmt.blockcirc import BlockCirculant
-from phrmt.specfun import fourier
 
 
 def _gauss_instance(n, rng):
@@ -124,7 +123,7 @@ class TestSteppedSpectra:
         blocks = _SAMPLERS[ensemble](n, 2 * step + 3, np.random.default_rng(n))
         blocks[step + 1] *= 2.0**-700
         got = blockcirc.batch_block_spectra(blocks)
-        want = oracles.whole_stack_block_spectra(blocks, fourier, pseudo2x2.eigenvalues2)
+        want = oracles.whole_stack_block_spectra(blocks, pseudo2x2.eigenvalues2)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
@@ -230,12 +229,33 @@ def _greedy_pairing(spectra):
 
 
 def _greedy_classes(spectra):
-    """Per-row greedy pairing and classification, concatenated in row order."""
-    parts = [
-        oracles.classify_spacings(circulant.Spectrum(row, oracles.pair_conjugates(row)))
-        for row in spectra
-    ]
-    return [np.concatenate(samples) for samples in zip(*parts)]
+    """Per-row greedy pairing and classification, concatenated in row order,
+    with the rc and generic classes halved: of each such pair and its twin
+    under ``oracles.block_twins``, only the first in row-major order is kept.
+    Also the full pair count of each class."""
+    parts, counts = [], [0, 0, 0]
+    for row in spectra:
+        spec = circulant.Spectrum(row, oracles.pair_conjugates(row))
+        twin = oracles.block_twins(row)
+        kept = []
+        for k, (a, b) in enumerate(oracles.spacing_pairs(spec)):
+            counts[k] += a.size
+            if k:
+                first = oracles.first_of_twins(twin, a, b)
+                a, b = a[first], b[first]
+            kept.append(np.abs(row[a] - row[b]))
+        parts.append(kept)
+    return [np.concatenate(samples) for samples in zip(*parts)], counts
+
+
+def _assert_halved_greedy(got, spectra):
+    """``got`` holds the halved greedy classes of ``spectra``, bit for bit,
+    with multiplicities (1, 2, 2) that make up every pair of the oracle."""
+    want, counts = _greedy_classes(spectra)
+    for k, (sample, values) in enumerate(zip(got, want)):
+        assert sample.values.tobytes() == values.tobytes(), k
+    assert [sample.multiplicity for sample in got] == [1, 2, 2]
+    assert [sample.multiplicity * sample.values.size for sample in got] == counts
 
 
 class TestBatchedPairing:
@@ -257,28 +277,26 @@ class TestBatchedPairing:
         # at N >= 24, 300 rows span several vectorised steps, the last partial
         spectra = blockcirc.batch_block_spectra(sampler(n, 300, np.random.default_rng(n)))
         assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
-        got = blockcirc.classify_block_batch(spectra)
-        want = _greedy_classes(spectra)
-        for k, (sample, values) in enumerate(zip(got, want)):
-            assert sample.values.tobytes() == values.tobytes(), k
+        _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
 
     def test_rows_with_different_pairings(self):
         # one batch, one pairing per row: real eigenvalues at different
         # positions, partners in different orders, and a row with no complex
-        # eigenvalue, which adds no value to any class
+        # eigenvalue, which adds no value to any class.  Each row is laid out
+        # as N = 3 modes: mode 0 is self-paired, mode 2 the conjugate of mode 1
         spectra = np.array(
             [
-                [1 + 1j, 1 - 1j, 2.0, 3 + 2j, 5.0, 3 - 2j],
-                [4.0, 3.0, 2.0, 1.0, 0.5, -1.0],
-                [0.5, 2 - 1j, -4 + 3j, 2 + 1j, -4 - 3j, -1.0],
-                [2 + 0.3j, 2 - 0.3j, 1 + 1j, 1 - 1j, 6 - 0.5j, 6 + 0.5j],
+                [1 + 1j, 1 - 1j, 2.0, 3 + 2j, 2.0, 3 - 2j],
+                [4.0, 3.0, 2.0, 1.0, 2.0, 1.0],
+                [0.5, -1.0, 2 - 1j, -4 + 3j, 2 + 1j, -4 - 3j],
+                [2 + 0.3j, 2 - 0.3j, 1 + 1j, 6 - 0.5j, 1 - 1j, 6 + 0.5j],
             ]
         )
         got = blockcirc.classify_block_batch(spectra)
-        # per row (cc, rc, generic): (2, 8, 4), none, (2, 8, 4), (3, 0, 12)
-        assert [s.values.size for s in got] == [7, 16, 20]
-        for k, (sample, values) in enumerate(zip(got, _greedy_classes(spectra))):
-            assert sample.values.tobytes() == values.tobytes(), k
+        # per row (cc, rc, generic) pairs: (2, 8, 4), none, (2, 8, 4), (3, 0, 12),
+        # of which half the rc and generic ones are stored
+        assert [s.values.size for s in got] == [7, 8, 10]
+        _assert_halved_greedy(got, spectra)
 
     def test_large_spectra_pair_in_small_steps(self):
         # at N = 260 blocks a step holds 7 rows, so 16 rows are two full
@@ -297,9 +315,7 @@ class TestBatchedPairing:
             tracemalloc.stop()
         assert peak < 2 * 24 * n * n
         assert np.array_equal(partner, _greedy_pairing(spectra))
-        got = blockcirc.classify_block_batch(spectra)
-        for k, (sample, values) in enumerate(zip(got, _greedy_classes(spectra))):
-            assert sample.values.tobytes() == values.tobytes(), k
+        _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
 
     def test_near_real_pair_counts_as_real(self):
         # |Im| = 1e-12 is inside the tolerance 2e-9: two reals, as in greedy
@@ -463,14 +479,11 @@ class TestSortedScreen:
 
     @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
     def test_one_row_batch_keeps_every_pair(self, instance):
-        # a one-row batch has one pairing per row, not a shared one: every
-        # qualifying pair is kept, once, as the oracle gives it
+        # a one-row batch has one pairing per row, not a shared one: every cc
+        # pair and one of each rc and generic pair and its twin is kept, and
+        # the multiplicities count every qualifying pair, as the oracle does
         spectra = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(5))).eigs[None]
-        got = blockcirc.classify_block_batch(spectra)
-        want = _greedy_classes(spectra)
-        for k, (sample, values) in enumerate(zip(got, want)):
-            assert sample.values.tobytes() == values.tobytes(), k
-            assert sample.multiplicity == 1
+        _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
 
     def test_tie_in_a_later_step_names_its_batch_row(self):
         # 81 rows a step at N = 25: row 417 is the 13th row of the sixth step
@@ -521,6 +534,90 @@ class TestSortedScreen:
         partner = blockcirc._pair_batch(spectra)
         assert partner.dtype.itemsize == 4
         assert np.array_equal(partner, _greedy_pairing(spectra))
+
+
+class TestExactTwins:
+    """Mode N-l is written as the conjugates of mode l, so every eigenvalue's
+    twin (``oracles.block_twins``) is its conjugate bit for bit, and the class
+    split refuses a row where it is not."""
+
+    @pytest.mark.parametrize("n", [4, 10, 24, 25, 101])
+    @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
+    def test_every_eigenvalue_has_an_exact_twin(self, ensemble, n):
+        # through the complex transform the chain's mode N/2 (at N = 10) and
+        # mode 0 (at N = 101) were real only to rounding; the real-input
+        # transforms keep the entries' exact zeros in those modes
+        blocks = _SAMPLERS[ensemble](n, 20, np.random.default_rng(n))
+        for row in blockcirc.batch_block_spectra(blocks):
+            assert np.array_equal(row[oracles.block_twins(row)], row.conj())
+
+    @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
+    def test_twin_one_ulp_off_is_refused(self, ensemble):
+        # 26 rows a step at N = 25: row 41 is in the second step.  One ulp is
+        # far inside the pairing tolerance, so only the twin check refuses it
+        spectra = blockcirc.batch_block_spectra(_SAMPLERS[ensemble](25, 60, np.random.default_rng(3)))
+        assert circulant._step_rows(50 * 49 // 2) == 26
+        row = spectra[41]
+        row[48] = complex(np.nextafter(row[48].real, np.inf), row[48].imag)  # E+ of mode 24
+        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
+        with pytest.raises(ValueError, match="spectrum row 41 has no exact twins"):
+            blockcirc.classify_block_batch(spectra)
+
+    def test_chain_twins_are_by_mode_not_by_tolerance(self):
+        # at N = 24 the chain's modes 8 and 16 hold eigenvalues with |Im| near
+        # 1e-16, which the tolerance calls real, so each is its own partner;
+        # its twin is its conjugate in the other mode
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_ising_blocks(24, 40, np.random.default_rng(24))
+        )
+        partner = blockcirc._pair_batch(spectra)
+        idx = np.arange(48)
+        for row, part in zip(spectra, partner):
+            moved = (part == idx) & (oracles.block_twins(row) != idx)
+            assert np.flatnonzero(moved).tolist() == [16, 17, 32, 33]
+        got = blockcirc.classify_block_batch(spectra)
+        _assert_halved_greedy(got, spectra)
+        # the same halving with the tolerance partner as the twin keeps other
+        # rc pairs, whose dropped twins are not the kept values
+        by_partner = []
+        for row, part in zip(spectra, partner):
+            a, b = oracles.spacing_pairs(circulant.Spectrum(row, part))[1]
+            first = oracles.first_of_twins(part, a, b)
+            by_partner.append(np.abs(row[a[first]] - row[b[first]]))
+        assert got[1].values.tobytes() != np.concatenate(by_partner).tobytes()
+
+
+class TestModesWithoutConjugates:
+    """A complex block row whose spectrum is not closed under conjugation
+    gets its upper modes solved as they are, not written as conjugates."""
+
+    @staticmethod
+    def _row():
+        # random complex blocks 1-4, and block 0 such that the blocks sum to
+        # diag(1, 3)
+        rng = np.random.default_rng(11)
+        blocks = np.empty((5, 2, 2), dtype=complex)
+        blocks[1:] = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        blocks[0] = np.diag([1.0, 3.0]) - blocks[1:].sum(axis=0)
+        return blocks
+
+    def test_spectrum_matches_the_dense_one(self):
+        blocks = self._row()
+        dense = np.linalg.eigvals(BlockCirculant(blocks).dense())
+        assert oracles.multiset_distance(dense, dense.conj()) > 1.0
+        # alone, and as one row among chain rows, which keep their exact twins
+        stack = blockcirc.sample_ising_blocks(5, 7, np.random.default_rng(12))
+        stack[3] = blocks
+        spectra = blockcirc.batch_block_spectra(stack)
+        assert oracles.multiset_distance(spectra[3], dense) <= 1e-9
+        alone = blockcirc.batch_block_spectra(blocks[None])[0]
+        assert oracles.multiset_distance(alone, dense) <= 1e-9
+        for row in np.delete(spectra, 3, axis=0):
+            assert np.array_equal(row[oracles.block_twins(row)], row.conj())
+
+    def test_eigenvalues_block_refuses_it(self):
+        with pytest.raises(ValueError, match="spectrum row 0 cannot be paired"):
+            blockcirc.eigenvalues_block(BlockCirculant(self._row()))
 
 
 class TestGaussianBlockLaws:

@@ -89,6 +89,42 @@ class TestSpacingCyclic:
         assert err.count("\n") == 1 and "--n" in err and "--block-scale" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("blocks", ["gaussian", "ising"])
+    @pytest.mark.parametrize(
+        "scale", ["2.2e-308", "1e-309", "1e-310", "1e-311", "1e-312", "1e-313", "1e-320"]
+    )
+    def test_subnormal_block_scale_fails_before_sampling(
+        self, tmp_path, monkeypatch, capsys, blocks, scale
+    ):
+        # below the smallest normal float (2.2250738585072014e-308) the draws
+        # are subnormal, with too few bits to tell eigenvalues apart
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the --block-scale check")
+
+        monkeypatch.setattr(blockcirc, f"sample_{blocks}_blocks", never)
+        out = tmp_path / "x"
+        code = run(
+            "spacing-cyclic", "--n", "25", "--count", "50", "--blocks", blocks,
+            "--block-scale", scale, "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "subnormal" in err and "--block-scale" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocks", ["gaussian", "ising"])
+    def test_one_realization_block_run(self, tmp_path, blocks):
+        # a one-row batch keeps every cc pair and one of each rc and generic
+        # twin pair, and its reports count every pair: both ensembles draw
+        # 48 complex and 2 real eigenvalues at N = 25 and seed 7
+        out = tmp_path / blocks
+        assert run(
+            "spacing-cyclic", "--n", "25", "--count", "1", "--blocks", blocks,
+            "--seed", "7", "--out", str(out),
+        ) == cli.EXIT_OK
+        n = {k: json.loads((out / f"gof_{k}.json").read_text())["n"] for k in ("cc", "rc", "generic")}
+        assert n == {"cc": 24, "rc": 96, "generic": 1104}
+
     def test_block_run_and_ising_reference_flag(self, tmp_path):
         out = tmp_path / "blocks"
         assert run(
@@ -112,12 +148,16 @@ class TestSpacingCyclic:
         cc = [line for line in lines if line.startswith("spacing_cc:")]
         assert len(cc) == 1 and cc[0].endswith("[ref]")
 
-    @pytest.mark.parametrize("scale", ["1e-6", "1e-9", "1e-12", "1e-170", "1e-200", "1e-300"])
+    @pytest.mark.parametrize(
+        "scale",
+        ["1e-6", "1e-9", "1e-12", "1e-170", "1e-200", "1e-300", "2.2250738585072014e-308"],
+    )
     def test_gaussian_blocks_are_scale_free(self, tmp_path, scale):
         # the pairing tolerance is relative and each 2x2 eigensolve is scaled
         # by a power of two, so shrinking every block entry moves no
         # eigenvalue between the classes, even where the unscaled products in
-        # the discriminant would underflow (below about 1e-160)
+        # the discriminant would underflow (below about 1e-160), down to the
+        # smallest normal float, below which the scale is refused
         def reports(block_scale):
             out = tmp_path / block_scale
             assert run(
@@ -318,9 +358,9 @@ class TestBadArguments:
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",
               "--block-scale", "1e-150", "--class", "cc"],
              "no cc, rc or generic spacings", "--block-scale"),
-            # Gaussian draws are subnormal, which leaves ties the pairing refuses
+            # Gaussian draws are subnormal: refused before sampling
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
-              "--block-scale", "1e-320"], "spectrum row", "--block-scale"),
+              "--block-scale", "1e-320"], "subnormal", "--block-scale"),
             # f3's c width divides by e^2 + 1/e^2, which e^2 = 0 or inf breaks
             (["spacing2x2", "--family", "f3", "--count", "20", "--epsilon", "1e-200"],
              "its square", "--epsilon"),
@@ -552,6 +592,14 @@ class TestWalkCommand:
     def test_invalid_row_is_usage_error(self, tmp_path):
         code = run("walk", "--row", "0.5,0.2", "--t-max", "5", "--out", str(tmp_path / "b"))
         assert code == cli.EXIT_USAGE
+
+    def test_row_sum_message_prints_a_float(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run("walk", "--row", "0.5,0.2", "--t-max", "3", "--out", str(out)) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: invalid walk configuration: hop row must sum to 1, got 0.7\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_nan_row_is_usage_error(self, tmp_path, capsys, source):

@@ -9,6 +9,7 @@ import oracles
 from phrmt import blockcirc
 from phrmt import pseudo2x2 as p2
 from phrmt import stats
+from phrmt.specfun import fourier
 from phrmt.pseudo2x2 import Family2x2, FamilyTag
 
 ALL_FAMILIES = [
@@ -157,7 +158,7 @@ class TestBatched:
     def test_stack_within_range_is_not_copied_to_scale(self):
         # the Fourier stack of 5000 x 25 Gaussian blocks is inside the
         # unscaled range, so no scaled copy of it is held beside the input
-        stack = blockcirc.fourier(
+        stack = fourier(
             blockcirc.sample_gaussian_blocks(25, 5000, np.random.default_rng(0)), axis=-3
         )
         tracemalloc.start()
