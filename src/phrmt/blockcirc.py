@@ -50,8 +50,7 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 # Relative tolerance of conjugate pairing: an eigenvalue is real, and two
 # eigenvalues are conjugates, within _RTOL * max |eigenvalue| of its spectrum,
-# so the pairing does not depend on the unit of the spectrum.  Transform modes
-# l and N-l are conjugates within it too (see ``_conjugate_rows``).
+# so the pairing does not depend on the unit of the spectrum.
 _RTOL = 1e-9
 
 
@@ -108,13 +107,13 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
     of the entries, mode l <= N/2 is Ahat_l = conj(U_l) + i conj(V_l) and
     mode N-l is U_l + i V_l.  Only modes 0..N/2 are solved.  Mode N-l is
     written as the conjugates of mode l, in the same (E+, E-) order, where
-    its trace and determinant are the conjugates of mode l's to a relative
-    tolerance (see ``_conjugate_rows``): exactly for real blocks, and to
-    rounding for the coupled chain, whose D_(N-l) is conj(D_l).  Then every
-    twin is exact.  A row where some mode is not has its upper modes solved
-    as they are, so its spectrum is right and its twins are not exact.  In
-    modes 0 and N/2, U_l and V_l are real, so an entry part that is exactly
-    zero in every block stays exactly zero there.
+    its trace and determinant are exactly the conjugates of mode l's (see
+    ``_conjugate_rows``), as in real blocks and in the coupled chain, whose
+    D_(N-l) is conj(D_l).  Then every twin is exact.  A row where some mode
+    is not has its upper modes solved as they are, so its spectrum is right
+    and its twins are not exact.  In modes 0 and N/2, U_l and V_l are real,
+    so an entry part that is exactly zero in every block stays exactly zero
+    there.
 
     The stack is transformed and solved in steps of rows, so beyond its
     spectra a call holds one step's temporaries; a row's eigenvalues depend
@@ -149,18 +148,16 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
 def _conjugate_rows(f: np.ndarray) -> np.ndarray:
     """Rows of a (rows, modes, 8) stack of lane transforms (U00, V00, U01,
     V01, U10, V10, U11, V11) at modes l in which every mode N-l, U + i V,
-    has the conjugate trace and determinant of mode l, conj(U) + i conj(V),
-    so conjugate eigenvalues.  The traces differ by 2i (V00 + V11) and the
-    determinants by 2i (U00 V11 + V00 U11 - U01 V10 - V01 U10); both must be
-    within _RTOL once the transforms are divided by the row's largest part.
-    A row with a non-finite or no nonzero part is not one."""
-    parts = f.view(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = (parts / np.abs(parts).max(axis=(1, 2), keepdims=True, initial=0.0)).view(complex)
-    u00, v00, u01, v01, u10, v10, u11, v11 = np.moveaxis(f, -1, 0)
-    tr = v00 + v11
-    det = u00 * v11 + v00 * u11 - u01 * v10 - v01 * u10
-    return ((np.abs(tr) <= _RTOL) & (np.abs(det) <= _RTOL)).all(axis=1)
+    has exactly the conjugate trace and determinant of mode l,
+    conj(U) + i conj(V), so conjugate eigenvalues.  The traces differ by
+    2i (V00 + V11) and the determinants by 2i (U00 V11 + V00 U11 - U01 V10
+    - V01 U10); both vanish where V00 and V11 are 0 and each of U01 V10 and
+    V01 U10 has a factor 0.  Real blocks have V = 0, and in the chain the
+    lanes V00, V11, U01 and U10 are 0 in every block, so in every mode.  A
+    difference that is only small is no test: near a double root the
+    eigenvalues move by about its square root."""
+    _, v00, u01, v01, u10, v10, _, v11 = np.moveaxis(f == 0, -1, 0)
+    return (v00 & v11 & (u01 | v10) & (v01 | u10)).all(axis=1)
 
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:

@@ -262,10 +262,11 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
             "no class has a spacing; --n must be at least 4 with --blocks ising"
         )
     if args.blocks != "none" and args.block_scale < np.finfo(float).tiny:
-        # subnormal draws carry too few bits to tell eigenvalues apart
+        # most draws at such a scale are subnormal, with too few bits to tell
+        # eigenvalues apart (near the smallest normal float some still are)
         raise UsageError(
-            "block draws at this scale are subnormal, below the smallest normal float; "
-            "--block-scale is out of range"
+            "--block-scale is below the smallest normal float (about 2.2e-308); "
+            "it is out of range"
         )
 
     if args.blocks == "none":

@@ -619,6 +619,20 @@ class TestModesWithoutConjugates:
         with pytest.raises(ValueError, match="spectrum row 0 cannot be paired"):
             blockcirc.eigenvalues_block(BlockCirculant(self._row()))
 
+    def test_nearly_closed_row_is_solved(self):
+        # every mode is the Jordan block [[1, 1], [0, 1]] plus i 1e-10 (w^l - 1)
+        # in entry (1, 0): mode N-l is conjugate to mode l only to about
+        # 1e-10, and its eigenvalues, 1 +- sqrt of that entry, to about 1e-5
+        blocks = np.zeros((5, 2, 2), dtype=complex)
+        blocks[0] = [[1.0, 1.0], [-1e-10j, 1.0]]
+        blocks[1, 1, 0] = 1e-10j
+        dense = np.linalg.eigvals(BlockCirculant(blocks).dense())
+        assert oracles.multiset_distance(dense, dense.conj()) > 1e-6
+        spectra = blockcirc.batch_block_spectra(blocks[None])[0]
+        assert oracles.multiset_distance(spectra, dense) <= 1e-9
+        with pytest.raises(ValueError, match="spectrum row 0 cannot be paired"):
+            blockcirc.eigenvalues_block(BlockCirculant(blocks))
+
 
 class TestGaussianBlockLaws:
     """Reduced-size law checks; the full-size run is in the acceptance suite."""

@@ -96,8 +96,8 @@ class TestSpacingCyclic:
     def test_subnormal_block_scale_fails_before_sampling(
         self, tmp_path, monkeypatch, capsys, blocks, scale
     ):
-        # below the smallest normal float (2.2250738585072014e-308) the draws
-        # are subnormal, with too few bits to tell eigenvalues apart
+        # a scale below the smallest normal float (2.2250738585072014e-308) is
+        # refused: most of its draws are subnormal
         def never(*args, **kwargs):
             raise AssertionError("sampled before the --block-scale check")
 
@@ -109,7 +109,7 @@ class TestSpacingCyclic:
         )
         assert code == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "subnormal" in err and "--block-scale" in err
+        assert err.count("\n") == 1 and "smallest normal float" in err and "--block-scale" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("blocks", ["gaussian", "ising"])
@@ -358,9 +358,9 @@ class TestBadArguments:
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",
               "--block-scale", "1e-150", "--class", "cc"],
              "no cc, rc or generic spacings", "--block-scale"),
-            # Gaussian draws are subnormal: refused before sampling
+            # a scale below the smallest normal float: refused before sampling
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "gaussian",
-              "--block-scale", "1e-320"], "subnormal", "--block-scale"),
+              "--block-scale", "1e-320"], "smallest normal float", "--block-scale"),
             # f3's c width divides by e^2 + 1/e^2, which e^2 = 0 or inf breaks
             (["spacing2x2", "--family", "f3", "--count", "20", "--epsilon", "1e-200"],
              "its square", "--epsilon"),
