@@ -22,8 +22,8 @@ closed under conjugation mode by mode (mode N-l holds the conjugates of mode
 l), so only modes 0..N/2 are solved and mode N-l is written as the exact
 conjugates of mode l.  Every rc and generic spacing then has a twin of the
 same bits, and ``classify_block_batch`` stores each such pair of twins once.
-Which eigenvalues count as real, and the cc partners, are still detected
-numerically, within a tolerance relative to the spectrum.
+An eigenvalue counts as real within a tolerance relative to its spectrum;
+every other eigenvalue's conjugate partner is its twin, read from its index.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SpacingSample, Spectrum, _moduli, _pair_numbers, _step_rows, generalized_parity
+from .circulant import Spectrum, _moduli, _pair_numbers, _step_rows, generalized_parity
 from .pseudo2x2 import eigenvalues2
 
 __all__ = [
@@ -48,9 +48,9 @@ __all__ = [
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-# Relative tolerance of conjugate pairing: an eigenvalue is real, and two
-# eigenvalues are conjugates, within _RTOL * max |eigenvalue| of its spectrum,
-# so the pairing does not depend on the unit of the spectrum.
+# Relative tolerance of the real axis: an eigenvalue with |Im| <= _RTOL *
+# max |eigenvalue| of its spectrum counts as real, so which eigenvalues are
+# real does not depend on the unit of the spectrum.
 _RTOL = 1e-9
 
 
@@ -161,10 +161,12 @@ def _conjugate_rows(f: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:
-    """All 2N eigenvalues via the block Fourier reduction, with numerically
-    detected conjugation pairing (see ``_pair_batch``)."""
-    eigs = batch_block_spectra(b.blocks[None])[0]
-    return Spectrum(eigs=eigs, partner=_pair_batch(eigs[None])[0])
+    """All 2N eigenvalues via the block Fourier reduction, each paired with
+    itself if it counts as real and with its twin if not (see
+    ``_pair_rows``, which refuses a spectrum without exact twins)."""
+    eigs = batch_block_spectra(b.blocks[None])
+    partner, _ = _pair_rows(eigs, 0, *_twin_maps(eigs.shape[1]))
+    return Spectrum(eigs=eigs[0], partner=partner[0])
 
 
 def sample_gaussian_blocks(
@@ -216,139 +218,95 @@ def sample_ising_blocks(
     return blocks
 
 
-def _pair_batch(spectra: np.ndarray) -> np.ndarray:
-    """Partner arrays of a (count, n) batch of spectra.
+def _twin_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twin maps of spectra of n = 2N eigenvalues laid out as
+    ``batch_block_spectra`` gives them, one row per choice for the
+    self-paired modes 0 and N/2, and the indices of those modes' E+.
 
-    With tol = _RTOL * max|e| over a row, an eigenvalue with |Im| <= tol is
-    real (its own partner).  Every other eigenvalue is paired with its
-    nearest conjugate, which must be mutual, strictly nearer than the second
-    nearest, and within tol.  A row that fails this (a tie, a complex
-    eigenvalue without a partner, a non-finite entry) raises ``ValueError``
-    naming the row: every ensemble handled here has spectra closed under
-    conjugation, so such a row has no pairing that is not arbitrary.
-
-    Only pairs within tol of each other in real part are compared: the
-    modulus of e_j - conj(e_i) is at least its real part's, so any other
-    pair is further than tol apart (see docs/decisions.md).
+    The twin of eigenvalue 2l + s is 2(N-l) + s.  In a self-paired mode it
+    is itself if its imaginary part is 0, and the other eigenvalue of its
+    mode if not; choice bit b is set when the mode of ``lead[b]`` swaps.
     """
-    count, n = spectra.shape
-    partner = np.empty((count, n), dtype=np.int32)  # every index is below n
-    # a step holds about eight arrays the length of its rows' eigenvalues
-    # (sort keys, order, flat indices, sorted values, tolerances, nearest
-    # distances, mates)
-    step = _step_rows(8 * n)
-    for start in range(0, count, step):
-        rows = spectra[start : start + step]
-        size = rows.size
-        tol = _RTOL * np.max(np.abs(rows), axis=1, keepdims=True)
-        real = np.abs(rows.imag) <= tol
-        key = np.where(real, np.inf, rows.real)  # reals sort after every complex one
-        order = np.argsort(key, axis=1)
-        # flat indices of each row sorted by real part, and the sorted values
-        idx = (order + np.arange(0, size, n)[:, None]).ravel()
-        x, e = key.ravel()[idx], rows.ravel()[idx]
-        tols = np.repeat(tol.ravel(), n)
-        # sorted positions p and p + k of one row within tol in real part, for
-        # k = 1, 2, ...: a pair at offset k has one at k - 1 from the same p
-        # (the computed gap grows with k), so only those p are tried, and the
-        # offsets stop at the first without a pair.  Pairs within tol as
-        # conjugates are kept.  A row with non-finite entries is refused, so
-        # inf - inf and NaN here are never used, and a difference that
-        # overflows is no partner.
-        lo, hi, dist = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
-        p = np.arange(size)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for k in range(1, n):
-                p = p[p % n < n - k]
-                p = p[x[p + k] - x[p] <= tols[p]]
-                if not p.size:
-                    break
-                d = np.abs(e[p + k] - np.conj(e[p]))  # bitwise the same both ways
-                keep = d <= tols[p]
-                lo.append(p[keep])
-                hi.append(p[keep] + k)
-                dist.append(d[keep])
-        at, to, d = np.concatenate(lo + hi), np.concatenate(hi + lo), np.concatenate(dist * 2)
-        # each eigenvalue's nearest conjugate within tol, and whether it is unique
-        nearest = np.full(size, np.inf)
-        np.minimum.at(nearest, at, d)
-        hit = d == nearest[at]
-        mate = np.arange(size)
-        mate[at[hit]] = to[hit]
-        unique = np.bincount(at[hit], minlength=size) == 1
-        ok = real.ravel()[idx] | (unique & (mate[mate] == np.arange(size)))
-        bad = np.flatnonzero(~(ok.reshape(rows.shape).all(axis=1) & np.isfinite(rows).all(axis=1)))
-        if bad.size:
-            raise ValueError(
-                f"spectrum row {start + bad[0]} cannot be paired: a complex eigenvalue has no "
-                "conjugate partner that is unique, mutual and within tolerance, or an entry "
-                "is not finite"
-            )
-        partner[start : start + len(rows)].reshape(-1)[idx] = order.ravel()[mate]
-    return partner
-
-
-def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """The (cc, rc, generic) spacing samples, pooled over a (count, 2N) batch
-    of block spectra laid out as ``batch_block_spectra`` gives them.
-
-    Pairing is re-detected per realization (see ``_pair_batch``), and every
-    cc pair is kept.  The twin of eigenvalue 2l + s is 2(N-l) + s; in the
-    self-paired modes 0 and N/2 it is itself if its imaginary part is 0, and
-    the other eigenvalue of its mode if not.  It is never the tolerance
-    partner: the chain's modes N/3 and 2N/3 hold eigenvalues the tolerance
-    calls real, whose twins are in the other mode.  The twin of an rc or
-    generic pair {i, j} is {twin i, twin j}, another pair of its class with
-    the same spacing; of the two only the one whose pair number is no larger
-    is kept, with multiplicity 2.  Values come by row, then in (i, j)
-    row-major order, as from the oracle ``classify_spacings`` in
-    ``tests/oracles.py`` at the pairs kept, from a table of ``|e_i - e_j|``
-    over the step's rows and pairs ``i < j``.
-
-    ValueError if a row's twins are not conjugates bit for bit, since then a
-    twin's spacing is not the kept pair's; each step of rows is checked
-    before its moduli are taken.
-    """
-    spectra = np.ascontiguousarray(spectra, dtype=complex)
-    partner = _pair_batch(spectra)
-    count, n = spectra.shape
-    if n % 2:
-        raise ValueError("block spectra hold 2N eigenvalues a row")
-    iu, ju, col = _pair_numbers(n)
-    idx = np.arange(n)
-    # the twin maps: 2l + s -> 2(N-l) + s, with each self-paired mode's two
-    # eigenvalues mapped to themselves or to each other, one map per choice
-    mode, sign = np.divmod(idx, 2)
-    lead = np.flatnonzero((mode == -mode % (n // 2)) & (sign == 0))  # E+ of modes 0, N/2
+    mode, sign = np.divmod(np.arange(n), 2)
+    lead = np.flatnonzero((mode == -mode % (n // 2)) & (sign == 0))
     flip = np.arange(2**lead.size)[:, None] >> np.arange(lead.size) & 1
     twins = np.tile(2 * (-mode % (n // 2)) + sign, (len(flip), 1))
     twins[:, lead] += flip
     twins[:, lead + 1] -= flip
+    return twins, lead
+
+
+def _pair_rows(rows, start, twins, lead) -> tuple[np.ndarray, np.ndarray]:
+    """Partners of a step of block spectra, rows ``start``, ``start + 1``,
+    ... of their batch, and the number of each row's twin map in ``twins``.
+
+    An eigenvalue with |Im| <= _RTOL * max|e| of its row is real, its own
+    partner; every other eigenvalue's partner is its twin, its conjugate bit
+    for bit.  A twin and its eigenvalue have the same |Im|, so they are real
+    or complex together.  ValueError naming the row by its batch index if a
+    row has a non-finite entry or twins that are not conjugates bit for bit:
+    every ensemble here has spectra closed under conjugation mode by mode,
+    and ``batch_block_spectra`` writes them so.
+    """
+    which = (rows[:, lead].imag != 0) @ (1 << np.arange(lead.size))
+    mates = twins[which]
+    bad = ~np.isfinite(rows).all(axis=1)
+    bad |= (np.take_along_axis(rows, mates, 1) != rows.conj()).any(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"spectrum row {start + np.argmax(bad)} cannot be paired: an entry is not finite, "
+            "or eigenvalue 2(N-l)+s is not the conjugate of 2l+s bit for bit, as "
+            "batch_block_spectra gives them"
+        )
+    real = np.abs(rows.imag) <= _RTOL * np.max(np.abs(rows), axis=1, keepdims=True)
+    return np.where(real, np.arange(rows.shape[1]), mates), which
+
+
+def classify_block_batch(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (cc, rc, generic) spacings, pooled over a (count, 2N) batch of
+    block spectra laid out as ``batch_block_spectra`` gives them.
+
+    Each row is paired by ``_pair_rows``, and every cc pair is kept.  The
+    twin of an rc or generic pair {i, j} is {twin i, twin j}, another pair
+    of its class with the same spacing; of the two only the one whose pair
+    number is no larger is kept, so each rc and generic value stands for two
+    pairs.  The twin is never the partner of an eigenvalue that counts as
+    real: the chain's modes N/3 and 2N/3 hold eigenvalues within the
+    tolerance of the real axis, whose twins are in the other mode.  Values
+    come by row, then in (i, j) row-major order, as from the oracle
+    ``classify_spacings`` in ``tests/oracles.py`` at the pairs kept, from a
+    table of ``|e_i - e_j|`` over the step's rows and pairs ``i < j``.
+
+    Every row is paired, in row steps, before the classes are allocated, so
+    a ValueError from ``_pair_rows`` comes before any modulus is taken.
+    """
+    spectra = np.ascontiguousarray(spectra, dtype=complex)
+    count, n = spectra.shape
+    if n % 2:
+        raise ValueError("block spectra hold 2N eigenvalues a row")
+    twins, lead = _twin_maps(n)
+    iu, ju, col = _pair_numbers(n)
+    idx = np.arange(n)
     # whether each pair comes no later than its twin, under each map
     first = np.arange(iu.size) <= col[twins[:, iu], twins[:, ju]]
+    step = _step_rows(iu.size)
     # class sizes of a row with c complex and n - c real eigenvalues; every
     # rc and generic pair has a twin other than itself, so half are kept
-    c = np.count_nonzero(partner != idx, axis=1)
-    sizes = (c // 2, (n - c) * c // 2, c * (c - 2) // 4)
-    out = [np.empty(int(size.sum())) for size in sizes]
+    sizes = [0, 0, 0]
+    for start in range(0, count, step):
+        partner, _ = _pair_rows(spectra[start : start + step], start, twins, lead)
+        c = np.count_nonzero(partner != idx, axis=1)
+        for k, size in enumerate((c // 2, (n - c) * c // 2, c * (c - 2) // 4)):
+            sizes[k] += int(size.sum())
+    out = [np.empty(size) for size in sizes]
     filled = [0, 0, 0]
-    step = _step_rows(iu.size)
     table = np.empty((min(step, count), iu.size))
     scratch = np.empty(table.size, dtype=complex)
     for start in range(0, count, step):
         rows = spectra[start : start + step]
-        # a self-paired mode maps to itself when its E+ is real
-        which = (rows[:, lead].imag != 0) @ (1 << np.arange(lead.size))
-        mates = np.take_along_axis(rows, twins[which], 1)
-        inexact = np.flatnonzero((mates != rows.conj()).any(axis=1))
-        if inexact.size:
-            raise ValueError(
-                f"spectrum row {start + inexact[0]} has no exact twins: eigenvalue 2(N-l)+s "
-                "must be the conjugate of 2l+s bit for bit, as batch_block_spectra gives them"
-            )
+        part, which = _pair_rows(rows, start, twins, lead)
         t = table[: len(rows)]
         _moduli(rows, iu, ju, t, scratch)
-        part = partner[start : start + len(rows)]
         comp = part != idx
         keep = first[which]
         row, i = np.nonzero(idx < part)
@@ -366,5 +324,4 @@ def classify_block_batch(spectra: np.ndarray) -> tuple[SpacingSample, SpacingSam
         for k, values in enumerate((t[cc], t[rc], t[generic])):
             out[k][filled[k] : filled[k] + values.size] = values
             filled[k] += values.size
-    cc, rc, generic = out
-    return SpacingSample(cc), SpacingSample(rc, 2), SpacingSample(generic, 2)
+    return tuple(out)

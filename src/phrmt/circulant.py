@@ -21,13 +21,12 @@ Bessel-I0 modulated law for ``rc`` and the Rayleigh distribution for
 ``generic``.  Every cc pair contributes one spacing.  The spectrum is
 conjugate-symmetric bit for bit, so the rc and generic spacings of pairs
 {i, j} and {n-i, n-j} are equal floats, and each such pair of twins is
-stored once, as one value with multiplicity 2.
+stored once, as one value that stands for two pairs.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from .specfun import _as_result, bessel_i0, hyp2f1_series
 __all__ = [
     "Circulant",
     "Spectrum",
-    "SpacingSample",
     "generalized_parity",
     "pseudo_orthogonality_residual",
     "eigenvalues",
@@ -77,30 +75,6 @@ class Circulant:
         n = self.n
         i, j = np.indices((n, n))
         return self.first_row[(j - i) % n]
-
-
-@dataclass(frozen=True)
-class SpacingSample:
-    """Scalar spacings of one class; each value stands for ``multiplicity``
-    eigenvalue pairs whose spacings are that value exactly (2 for the rc and
-    generic twins of scalar and block circulants, see
-    ``classify_spacings_batch`` and ``blockcirc.classify_block_batch``).
-    ValueError unless ``multiplicity`` is an integer >= 1."""
-
-    values: np.ndarray
-    multiplicity: int = 1
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("SpacingSample values must be 1-d")
-        if vals.size and vals.min() < 0:
-            raise ValueError("spacings are nonnegative")
-        m = self.multiplicity
-        if not hasattr(type(m), "__index__") or operator.index(m) < 1:
-            raise ValueError("multiplicity must be an integer >= 1")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "multiplicity", operator.index(m))
 
 
 @dataclass(frozen=True)
@@ -214,7 +188,7 @@ def sample_rows(n: int, weight: float, count: int, rng: np.random.Generator) -> 
 
 
 # Entries per step of every row-stepped pass of the spacing pipeline (block
-# transform-and-solve, conjugate pairing, class split, KS and order check): a
+# transform-and-solve, class split with its pairing, KS and order check): a
 # few hundred KiB of scratch whatever the spectrum length or batch size.
 _STEP = 2**15
 
@@ -243,19 +217,17 @@ def _moduli(rows, i, j, out, scratch) -> None:
     np.abs(d, out=out)
 
 
-def classify_spacings_batch(
-    spectra: np.ndarray,
-) -> tuple[SpacingSample, SpacingSample, SpacingSample]:
-    """The (cc, rc, generic) spacing samples, pooled over a (count, n) batch
+def classify_spacings_batch(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (cc, rc, generic) spacings, pooled over a (count, n) batch
     of circulant spectra, conjugate-symmetric bit for bit under l <-> n-l
     as ``batch_spectra`` gives them.
 
     The pairing p[l] = n - l mod n fixes each class's pair list.  A pair
     {i, j} and its twin {p[i], p[j]} have the same spacing: a cc pair is its
     own twin, and of each rc and generic pair and its twin only the first in
-    row-major order is kept, with multiplicity 2.  Values come by row, then
-    in (i, j) row-major order, as from the oracle ``classify_spacings`` in
-    ``tests/oracles.py`` at the pairs kept.
+    row-major order is kept, so each rc and generic value stands for two
+    pairs.  Values come by row, then in (i, j) row-major order, as from the
+    oracle ``classify_spacings`` in ``tests/oracles.py`` at the pairs kept.
 
     ValueError if a row is not exactly conjugate-symmetric (for example a
     spectrum from ``specfun.fourier``, which is only to rounding), since
@@ -290,8 +262,7 @@ def classify_spacings_batch(
             )
         for q, values in zip(kept, out):
             _moduli(rows, iu[q], ju[q], values[start : start + len(rows)], scratch)
-    cc, rc, generic = (values.ravel() for values in out)
-    return SpacingSample(cc), SpacingSample(rc, 2), SpacingSample(generic, 2)
+    return tuple(values.ravel() for values in out)
 
 
 # ---------------------------------------------------------------------------

@@ -290,12 +290,12 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     try:
         samples = dict(zip(("cc", "rc", "generic"), classify(spectra)))
     except ValueError as exc:
-        # block spectra are paired numerically; draws that overflow or
-        # underflow leave rows with no unambiguous pairing
+        # a block draw that overflows leaves a row with a non-finite entry,
+        # which cannot be paired
         raise UsageError(f"{exc}; {scale_flag} is out of range")
     del spectra  # only the split reads the spectra
-    if not any(sample.values.size for sample in samples.values()):
-        # the pairing tolerance is relative to the largest eigenvalue, so this
+    if not any(sample.size for sample in samples.values()):
+        # the real tolerance is relative to the largest eigenvalue, so this
         # needs a spectrum whose imaginary parts are tiny against it: the
         # coupled chain at a tiny scale, whose fixed -1/2 entries do not scale
         raise UsageError(
@@ -314,14 +314,14 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
     for klass in classes:
         pdf, cdf = laws[klass]
         sample = samples[klass]
-        if sample.values.size == 0:
+        if sample.size == 0:
             if args.klass == "all":
                 continue  # e.g. scalar N <= 4 has at most one conjugate pair
             raise UsageError(f"no {klass} pairs for this configuration")
         # one array per class: normalised and sorted in place, then read by
         # both the histogram and the KS distance
         try:
-            values = stats.normalize_unit_mean(sample.values)
+            values = stats.normalize_unit_mean(sample)
         except ValueError as exc:
             raise UsageError(f"{klass} spacings: {exc}; {scale_flag} is out of range")
         _sort_finite(values, f"{klass} spacings", scale_flag)
@@ -329,13 +329,14 @@ def cmd_spacing_cyclic(args) -> tuple[dict[str, str], list[stats.GofReport]]:
         rep = stats.ks_statistic(
             values, cdf, pass_threshold=args.ks_threshold, label=f"spacing_{klass}"
         )
-        # a stored value stands for ``multiplicity`` pairs, and the report
-        # counts pairs; repeating each value would not move a bit of the
-        # distance or the densities (docs/decisions.md).  The coupled-chain
-        # ensemble does not follow the scalar laws (its cc law is derived
-        # there too), so its reports are reference-only
+        # a cc pair is its own twin, and each rc or generic value stands for
+        # a pair and its twin; the report counts pairs, and repeating each
+        # value would not move a bit of the distance or the densities
+        # (docs/decisions.md).  The coupled-chain ensemble does not follow
+        # the scalar laws (its cc law is derived there too), so its reports
+        # are reference-only
         rep = dataclasses.replace(
-            rep, n=sample.multiplicity * rep.n, reference_only=args.blocks == "ising"
+            rep, n=(1 if klass == "cc" else 2) * rep.n, reference_only=args.blocks == "ising"
         )
         reports.append(rep)
         files[f"gof_{klass}.json"] = _json_text(dataclasses.asdict(rep))

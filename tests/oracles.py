@@ -488,8 +488,9 @@ def pair_conjugates(eigs: np.ndarray) -> np.ndarray:
     real (self-paired); the rest are greedily matched to their nearest
     conjugate within the same tolerance, starting from the smallest imaginary
     parts.  A complex eigenvalue without a partner raises.  The reference
-    for ``blockcirc._pair_batch``, which must give the same partners on
-    every row it accepts.
+    for the block pairing by mode index (``blockcirc.eigenvalues_block``
+    and ``classify_block_batch``), which must give the same partners, or on
+    a row with tied nearest conjugates the same class multisets.
     """
     eigs = np.ascontiguousarray(eigs, dtype=complex)
     n = eigs.size

@@ -50,7 +50,7 @@ def test_criterion_3_cc_law_n3():
     rng = np.random.default_rng(SEED)
     spectra = circulant.batch_spectra(circulant.sample_rows(3, 1.0, 100_000, rng))
     cc, _, _ = circulant.classify_spacings_batch(spectra)
-    z = stats.normalize_unit_mean(cc.values)
+    z = stats.normalize_unit_mean(cc)
     rep = stats.ks_statistic(np.sort(z), stats.cdf_cc, 0.01)
     record_criterion(3, "conjugate-pair law at N=3", rep.passed, f"ks={rep.ks_distance:.5f}")
     assert rep.ks_distance < 0.01
@@ -60,12 +60,12 @@ def test_criterion_4_rc_law_n3_and_n100():
     rng = np.random.default_rng(SEED)
     spectra3 = circulant.batch_spectra(circulant.sample_rows(3, 1.0, 10_000, rng))
     _, rc3, _ = circulant.classify_spacings_batch(spectra3)
-    z3 = stats.normalize_unit_mean(rc3.values)
+    z3 = stats.normalize_unit_mean(rc3)
     rep3 = stats.ks_statistic(np.sort(z3), stats.cdf_rc, 0.015)
 
     spectra100 = circulant.batch_spectra(circulant.sample_rows(100, 1.0, 1_000, rng))
     _, rc100, _ = circulant.classify_spacings_batch(spectra100)
-    z100 = stats.normalize_unit_mean(rc100.values)
+    z100 = stats.normalize_unit_mean(rc100)
     rep100 = stats.ks_statistic(np.sort(z100), stats.cdf_rc, 0.015)
 
     cross = stats.ks_two_sample(z3, z100)
@@ -88,7 +88,7 @@ def test_criterion_5_generic_law_n100():
     # per-matrix route, exercising the fast transform at N=100
     spectra = np.stack([circulant.eigenvalues(Circulant(r)).eigs for r in rows])
     _, _, gen = circulant.classify_spacings_batch(spectra)
-    z = stats.normalize_unit_mean(gen.values)
+    z = stats.normalize_unit_mean(gen)
     rep = stats.ks_statistic(np.sort(z), stats.cdf_generic, 0.015)
     elapsed = time.monotonic() - t0
     ok = rep.passed and elapsed < 60.0
@@ -106,7 +106,7 @@ def test_criterion_6_gaussian_block_laws():
     reps = {}
     laws = (stats.cdf_cc, stats.cdf_rc, stats.cdf_generic)
     for klass, sample, cdf in zip(("cc", "rc", "generic"), (cc, rc, gen), laws):
-        z = stats.normalize_unit_mean(sample.values)
+        z = stats.normalize_unit_mean(sample)
         reps[klass] = stats.ks_statistic(np.sort(z), cdf, 0.02)
     ok = all(r.passed for r in reps.values())
     record_criterion(

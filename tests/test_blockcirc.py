@@ -85,13 +85,22 @@ class TestEigenvaluesBlock:
                 ref = np.linalg.eigvals(b.dense())
                 assert oracles.multiset_distance(mine, ref) <= 1e-9
 
-    def test_degenerate_spectrum_is_refused(self):
+    def test_degenerate_spectrum_pairs_by_mode(self):
         # (A, 0, 0, 0) has every transform block equal to A, whose eigenvalues
-        # are +-i: four copies of each, so no conjugate pairing is unique
+        # are +-i: four copies of each, so nearest conjugates tie.  Each is
+        # paired with its twin, and any pairing gives the same classes
         blocks = np.zeros((4, 2, 2), dtype=complex)
         blocks[0] = np.array([[0.0, -1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="spectrum row 0"):
-            blockcirc.eigenvalues_block(BlockCirculant(blocks))
+        b = BlockCirculant(blocks)
+        spec = blockcirc.eigenvalues_block(b)
+        assert oracles.multiset_distance(spec.eigs, np.linalg.eigvals(b.dense())) < 1e-12
+        assert spec.partner.tolist() == [1, 0, 6, 7, 5, 4, 2, 3]
+        got = blockcirc.classify_block_batch(spec.eigs[None])
+        greedy = oracles.classify_spacings(
+            circulant.Spectrum(spec.eigs, oracles.pair_conjugates(spec.eigs))
+        )
+        for values, want, pairs in zip(got, greedy, (1, 2, 2)):
+            assert np.sort(np.repeat(values, pairs)).tobytes() == np.sort(want).tobytes()
 
     def test_ising_against_dense_oracle(self):
         rng = np.random.default_rng(54)
@@ -185,47 +194,47 @@ class TestSamplers:
         assert np.max(np.abs(spec.eigs.imag)) > 0.1
 
 
-def _pair(eigs):
-    return blockcirc._pair_batch(np.asarray(eigs, dtype=complex)[None])[0]
+def _two_mode_blocks(mode0, mode1):
+    """N = 2 blocks (A0, A1) whose transform blocks are A0 + A1 = mode0
+    and A0 - A1 = mode1."""
+    mode0, mode1 = np.asarray(mode0, dtype=float), np.asarray(mode1, dtype=float)
+    return BlockCirculant(np.stack([(mode0 + mode1) / 2, (mode0 - mode1) / 2]))
 
 
 class TestConjugatePairing:
     def test_manual_spectrum(self):
-        partner = _pair([2.0, 1.0 + 1.0j, 1.0 - 1.0j, -3.0])
-        assert partner.tolist() == [0, 2, 1, 3]
+        # mode 0 holds the reals 2 and -3, mode 1 the pair 1 +- i
+        blocks = _two_mode_blocks(np.diag([2.0, -3.0]), [[1.0, -1.0], [1.0, 1.0]])
+        spec = blockcirc.eigenvalues_block(blocks)
+        assert oracles.multiset_distance(spec.eigs, [2.0, -3.0, 1 + 1j, 1 - 1j]) < 1e-15
+        assert spec.partner.tolist() == [0, 1, 3, 2]
 
     def test_tolerance_scale(self):
-        assert _pair([1.0 + 1e-12j, 5.0]).tolist() == [0, 1]
+        # +-1e-12 i is within the tolerance 5e-9 of the real axis
+        near_real = [[0.0, -1e-12], [1e-12, 0.0]]
+        spec = blockcirc.eigenvalues_block(_two_mode_blocks(near_real, 5.0 * np.eye(2)))
+        assert np.all(spec.eigs.imag[:2] != 0)
+        assert spec.partner.tolist() == [0, 1, 2, 3]
 
     def test_tolerance_is_relative(self):
         # scaling a spectrum by a power of two is exact, so it must not
-        # change the pairing, however small the scale
+        # change which eigenvalues are real, however small the scale; a cc
+        # spacing, 2 |Im e|, scales exactly too
         spectra = blockcirc.batch_block_spectra(
             blockcirc.sample_gaussian_blocks(25, 50, np.random.default_rng(1))
         )
-        want = blockcirc._pair_batch(spectra)
-        assert np.any(want != np.arange(want.shape[1])), "the draw must have complex pairs"
+        want = blockcirc.classify_block_batch(spectra)
+        assert want[0].size, "the draw must have complex pairs"
         for power in (-20, -40, -100, -500):
-            assert np.array_equal(blockcirc._pair_batch(spectra * 2.0**power), want)
+            got = blockcirc.classify_block_batch(spectra * 2.0**power)
+            assert [values.size for values in got] == [values.size for values in want]
+            assert got[0].tobytes() == (want[0] * 2.0**power).tobytes()
 
     def test_unpaired_complex_rejected(self):
-        with pytest.raises(ValueError):
-            _pair([1.0 + 1.0j, 2.0])
-
-    def test_classifier_matches_scalar_structural_path(self):
-        # scalar circulant spectra run through the numeric classifier give
-        # the same classes as the structural pairing
-        rng = np.random.default_rng(58)
-        row = rng.normal(size=7)
-        spec = circulant.eigenvalues(circulant.Circulant(row))
-        structural = oracles.classify_spacings(spec)
-        numeric = oracles.classify_spacings(circulant.Spectrum(spec.eigs, _pair(spec.eigs)))
-        for s, n in zip(structural, numeric):
-            assert np.allclose(np.sort(s), np.sort(n), rtol=1e-10)
-
-
-def _greedy_pairing(spectra):
-    return np.array([oracles.pair_conjugates(row) for row in spectra])
+        # one self-paired mode whose E+ is complex and whose E- is not its
+        # conjugate
+        with pytest.raises(ValueError, match="spectrum row 0 cannot be paired"):
+            blockcirc.classify_block_batch(np.array([[1.0 + 1.0j, 2.0]]))
 
 
 def _greedy_classes(spectra):
@@ -250,34 +259,39 @@ def _greedy_classes(spectra):
 
 def _assert_halved_greedy(got, spectra):
     """``got`` holds the halved greedy classes of ``spectra``, bit for bit,
-    with multiplicities (1, 2, 2) that make up every pair of the oracle."""
+    and with a cc value standing for one pair and an rc or generic value
+    for two they make up every pair of the oracle."""
     want, counts = _greedy_classes(spectra)
-    for k, (sample, values) in enumerate(zip(got, want)):
-        assert sample.values.tobytes() == values.tobytes(), k
-    assert [sample.multiplicity for sample in got] == [1, 2, 2]
-    assert [sample.multiplicity * sample.values.size for sample in got] == counts
+    for k, (values, expect) in enumerate(zip(got, want)):
+        assert values.tobytes() == expect.tobytes(), k
+    assert [pairs * values.size for pairs, values in zip((1, 2, 2), got)] == counts
 
 
 class TestBatchedPairing:
-    """The batched pairing must reproduce the greedy oracle
-    ``oracles.pair_conjugates`` exactly on every row it accepts, and refuse
-    the rows on which greedy's answer would be arbitrary."""
+    """Pairing by mode index must reproduce the greedy oracle
+    ``oracles.pair_conjugates`` exactly, partners and class bytes alike, and
+    refuse rows without exact twins or with a non-finite entry."""
 
     @pytest.mark.parametrize(
         "sampler, n",
         [
-            (blockcirc.sample_gaussian_blocks, 24),
-            (blockcirc.sample_gaussian_blocks, 25),
-            (blockcirc.sample_ising_blocks, 6),
-            (blockcirc.sample_ising_blocks, 24),
-            (blockcirc.sample_ising_blocks, 25),
+            (sampler, n)
+            for sampler in (blockcirc.sample_gaussian_blocks, blockcirc.sample_ising_blocks)
+            for n in (6, 24, 25, 26, 250)
         ],
     )
     def test_matches_greedy_row_by_row(self, sampler, n):
-        # at N >= 24, 300 rows span several vectorised steps, the last partial
-        spectra = blockcirc.batch_block_spectra(sampler(n, 300, np.random.default_rng(n)))
-        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
+        # at N >= 24, 300 rows span several steps, the last partial (16 rows
+        # at N = 250, two full steps and a partial one); the same rows scaled
+        # by 2^-500 pair and split the same way
+        blocks = sampler(n, 16 if n == 250 else 300, np.random.default_rng(n))
+        spectra = blockcirc.batch_block_spectra(blocks)
+        for b in blocks:
+            spec = blockcirc.eigenvalues_block(BlockCirculant(b))
+            assert np.array_equal(spec.partner, oracles.pair_conjugates(spec.eigs))
         _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
+        tiny = spectra * 2.0**-500
+        _assert_halved_greedy(blockcirc.classify_block_batch(tiny), tiny)
 
     def test_rows_with_different_pairings(self):
         # one batch, one pairing per row: real eigenvalues at different
@@ -295,37 +309,21 @@ class TestBatchedPairing:
         got = blockcirc.classify_block_batch(spectra)
         # per row (cc, rc, generic) pairs: (2, 8, 4), none, (2, 8, 4), (3, 0, 12),
         # of which half the rc and generic ones are stored
-        assert [s.values.size for s in got] == [7, 8, 10]
+        assert [values.size for values in got] == [7, 8, 10]
         _assert_halved_greedy(got, spectra)
-
-    def test_large_spectra_pair_in_small_steps(self):
-        # at N = 260 blocks a step holds 7 rows, so 16 rows are two full
-        # steps and a partial one, and the pairing scratch stays below one
-        # row's distance matrix (24 bytes an entry) whatever the batch size
-        spectra = blockcirc.batch_block_spectra(
-            blockcirc.sample_ising_blocks(260, 16, np.random.default_rng(260))
-        )
-        n = spectra.shape[1]
-        assert circulant._step_rows(8 * n) == 7
-        tracemalloc.start()
-        try:
-            partner = blockcirc._pair_batch(spectra)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 24 * n * n
-        assert np.array_equal(partner, _greedy_pairing(spectra))
-        _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
 
     def test_near_real_pair_counts_as_real(self):
         # |Im| = 1e-12 is inside the tolerance 2e-9: two reals, as in greedy
         spectra = np.array([[1.0 + 1e-12j, 1.0 - 1e-12j, 2.0 + 1.0j, 2.0 - 1.0j]])
-        assert blockcirc._pair_batch(spectra).tolist() == [[0, 1, 3, 2]]
-        assert _greedy_pairing(spectra).tolist() == [[0, 1, 3, 2]]
+        assert oracles.pair_conjugates(spectra[0]).tolist() == [0, 1, 3, 2]
+        got = blockcirc.classify_block_batch(spectra)
+        assert [values.size for values in got] == [1, 2, 0]
+        _assert_halved_greedy(got, spectra)
 
-    def test_tied_row_is_refused(self):
-        # a duplicated conjugate pair: greedy would settle the tie by its
-        # visiting order, so the batched rule names the row instead
+    def test_tied_row_pairs_by_mode(self):
+        # a duplicated conjugate pair ties greedy's nearest conjugates; each
+        # eigenvalue is paired with its twin, and the classes are greedy's
+        # as multisets, whichever way greedy settles the tie
         spectra = blockcirc.batch_block_spectra(
             blockcirc.sample_gaussian_blocks(6, 40, np.random.default_rng(5))
         )
@@ -333,19 +331,35 @@ class TestBatchedPairing:
         partner = oracles.pair_conjugates(row)
         i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]  # two conjugate pairs
         row[k], row[partner[k]] = row[i], row[partner[i]]  # duplicate a conjugate pair
-        with pytest.raises(ValueError, match="spectrum row 17 "):
-            blockcirc._pair_batch(spectra)
-        with pytest.raises(ValueError, match="spectrum row 17 "):
-            blockcirc.classify_block_batch(spectra)
-        # every other row is still paired as greedy pairs it
+        got = blockcirc.classify_block_batch(spectra)
         rest = np.delete(spectra, 17, axis=0)
-        assert np.array_equal(blockcirc._pair_batch(rest), _greedy_pairing(rest))
+        _assert_halved_greedy(blockcirc.classify_block_batch(rest), rest)
+        want, _ = _greedy_classes(spectra)
+        for values, expect in zip(got, want):
+            assert values.size == expect.size
+            assert np.sort(values).tobytes() == np.sort(expect).tobytes()
+
+    @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
+    def test_one_row_batch_keeps_every_pair(self, instance):
+        # a one-row batch has one pairing per row, not a shared one: every cc
+        # pair and one of each rc and generic pair and its twin is kept, and
+        # the stored values count every qualifying pair, as the oracle does
+        spectra = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(5))).eigs[None]
+        _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
 
     def test_non_finite_rows_are_refused(self):
+        # 26 rows a step at N = 25: row 41 is in the second step.  A
+        # non-finite eigenvalue and its twin written as conjugates pass the
+        # twin check, so only the finiteness check refuses the row
+        spectra = blockcirc.batch_block_spectra(
+            blockcirc.sample_gaussian_blocks(25, 60, np.random.default_rng(4))
+        )
+        assert circulant._step_rows(50 * 49 // 2) == 26
         for bad in (np.inf, np.nan, complex(0.0, np.inf)):
-            spectra = np.array([[2.0, 1 + 1j, 1 - 1j], [bad, 1 + 1j, 1 - 1j]])
-            with pytest.raises(ValueError, match="spectrum row 1 "):
-                blockcirc._pair_batch(spectra)
+            rows = spectra.copy()
+            rows[41, 2], rows[41, 48] = bad, np.conj(bad)  # E+ of modes 1 and 24
+            with pytest.raises(ValueError, match="spectrum row 41 cannot be paired"):
+                blockcirc.classify_block_batch(rows)
 
     def test_row_not_closed_under_conjugation_raises(self):
         spectra = blockcirc.batch_block_spectra(
@@ -353,187 +367,25 @@ class TestBatchedPairing:
         )
         row = spectra[23]
         row[np.argmax(np.abs(row.imag))] *= 1.1
-        with pytest.raises(ValueError, match="no conjugate partner"):
+        with pytest.raises(ValueError, match="spectrum row 23 cannot be paired"):
             blockcirc.classify_block_batch(spectra)
 
-    def test_one_sided_nearest_conjugate_raises(self):
-        # x1 -> y -> x2 -> y: every nearest conjugate is strict and within
-        # tolerance but x1's is not mutual, and x2 has no partner left
-        eps = 1e-9
-        closed = [1 + 1j, 1 - 1j, 2.0, 3 + 2j, 3 - 2j]
-        broken = [1 + 1j, 1 - 1j + eps, 1 + 1j + 1.5 * eps, 3 + 2j, 3 - 2j]
-        with pytest.raises(ValueError, match="no conjugate partner"):
-            blockcirc.classify_block_batch(np.array([closed, broken]))
-
-    def test_mutual_tie_is_refused(self):
-        # x's conjugate is exactly as near to y as to z, while y and z each
-        # have a mutual nearest; only the strictness rule refuses this row
-        delta = 2.0**-33  # exact in 1 +- delta, far inside the tolerance
-        closed = [1 + 1j, 1 - 1j, 3 + 2j, 3 - 2j]
-        tied = [1 + 1j, 1 - 1j + delta, 1 - 1j - delta, 1 + 1j - delta]
-        with pytest.raises(ValueError, match="spectrum row 1 "):
-            blockcirc._pair_batch(np.array([closed, tied]))
-        assert blockcirc._pair_batch(np.array([closed])).tolist() == [[1, 0, 3, 2]]
-
-
-def _chain_spectra(count, seed):
-    return blockcirc.batch_block_spectra(
-        blockcirc.sample_ising_blocks(25, count, np.random.default_rng(seed))
-    )
-
-
-def _wide_window_rows(spectra):
-    """Rows in which a complex eigenvalue is within the pairing tolerance, in
-    real part, of a complex eigenvalue other than its greedy partner."""
-    wide = []
-    for r, row in enumerate(spectra):
-        tol = oracles.PAIRING_RTOL * np.max(np.abs(row))
-        comp = np.flatnonzero(np.abs(row.imag) > tol)
-        close = np.abs(row.real[comp, None] - row.real[comp]) <= tol
-        close[np.arange(comp.size), np.arange(comp.size)] = False
-        partner = oracles.pair_conjugates(row)
-        close[np.arange(comp.size), np.searchsorted(comp, partner[comp])] = False
-        if close.any():
-            wide.append(r)
-    return wide
-
-
-class TestSortedScreen:
-    """``_pair_batch`` sorts each row by real part and compares only the
-    complex eigenvalues within tol of each other in real part, however many
-    share that window; each row must get the greedy oracle's partners, and a
-    refusal must name the row by its index in the whole batch."""
-
-    def test_non_partners_with_close_real_parts_match_greedy(self):
-        # tol is about 3e-9 here: the two pairs, and a third pair, have real
-        # parts within it of each other
-        spectra = np.array(
-            [
-                [1 + 1j, 1 - 1j, 1 + 5e-10 + 2j, 1 + 5e-10 - 2j, 3.0, -2.0],
-                [1 + 1j, 1 + 1e-9 + 2j, 1 + 2e-9 - 1j, 1 + 1e-9 - 2j, 1 + 1j * 1e-12, 3.0],
-            ]
-        )
-        assert _wide_window_rows(spectra) == [0, 1]
-        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
-
-    def test_real_part_neighbour_that_is_no_conjugate_is_refused(self):
-        # row 1's complex eigenvalues share their real part, so each is the
-        # other's only close neighbour, but neither is the other's conjugate
-        spectra = np.array([[1 + 1j, 1 - 1j, 3.0], [1 + 1j, 1 + 2j, 3.0]])
-        with pytest.raises(ValueError, match="spectrum row 1 "):
-            blockcirc._pair_batch(spectra)
-
-    def test_chain_rows_with_equal_real_parts_across_blocks(self):
-        # in these chain rows eigenvalues of two different blocks share
-        # their real part to within tol
-        spectra = _chain_spectra(300, 25)
-        assert _wide_window_rows(spectra) == [31, 244]
-        rows = spectra[[31, 244]]
-        assert np.array_equal(blockcirc._pair_batch(rows), _greedy_pairing(rows))
-        # and the same with the real parts made exactly equal
-        row = spectra[0].copy()
-        partner = oracles.pair_conjugates(row)
-        i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]
-        row[[k, partner[k]]] = row[i].real + 1j * row[[k, partner[k]]].imag
-        assert _wide_window_rows(row[None]) == [0]
-        assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
-
-    def test_three_pairs_on_one_real_part(self):
-        # six eigenvalues with one real part: every one is in the others' window
-        row = np.array([1 - 2j, 4.0, 1 + 3j, 1 + 1j, 1 - 3j, -1.0, 1 + 2j, 1 - 1j])
-        assert _pair(row).tolist() == [6, 1, 4, 7, 2, 5, 0, 3]
-        assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
-
-    def test_partner_beyond_the_nearest_real_part(self):
-        # sorted by real part: 1 + 1j, the other pair's two, then its partner
-        # three places on; its nearest neighbour by real part is no conjugate
-        row = np.array([1 + 1j, 1 + 1e-9 + 2j, 1 + 1e-9 - 2j, 1 + 2e-9 - 1j, 5.0])
-        assert _pair(row).tolist() == [3, 2, 1, 0, 4]
-        assert np.array_equal(_pair(row), oracles.pair_conjugates(row))
-
-    def test_tie_in_a_wide_window_is_refused(self):
-        # row 2 holds one conjugate pair twice among three pairs on one real
-        # part: 1 + 2j has two conjugates at distance 0
-        spectra = np.array(
-            [
-                [1 + 1j, 1 - 1j, 1 + 2j, 1 - 2j, 1 + 3j, 1 - 3j],
-                [2.0, 1 + 1j, 1 - 1j, 3.0, 1 + 2j, 1 - 2j],
-                [1 + 1j, 1 - 1j, 1 + 2j, 1 - 2j, 1 + 2j, 1 - 2j],
-            ]
-        )
-        with pytest.raises(ValueError, match="spectrum row 2 "):
-            blockcirc._pair_batch(spectra)
-        assert np.array_equal(blockcirc._pair_batch(spectra[:2]), _greedy_pairing(spectra[:2]))
-
-    @pytest.mark.parametrize("sampler", [blockcirc.sample_gaussian_blocks, blockcirc.sample_ising_blocks])
-    def test_spectra_scaled_by_2_to_the_minus_500(self, sampler):
-        spectra = blockcirc.batch_block_spectra(sampler(25, 300, np.random.default_rng(7)))
-        tiny = spectra * 2.0**-500
-        assert np.array_equal(blockcirc._pair_batch(tiny), _greedy_pairing(tiny))
-        assert np.array_equal(blockcirc._pair_batch(tiny), blockcirc._pair_batch(spectra))
-
-    @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
-    def test_one_row_batch_through_eigenvalues_block(self, instance):
-        spec = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(3)))
-        assert np.array_equal(spec.partner, oracles.pair_conjugates(spec.eigs))
-
-    @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
-    def test_one_row_batch_keeps_every_pair(self, instance):
-        # a one-row batch has one pairing per row, not a shared one: every cc
-        # pair and one of each rc and generic pair and its twin is kept, and
-        # the multiplicities count every qualifying pair, as the oracle does
-        spectra = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(5))).eigs[None]
-        _assert_halved_greedy(blockcirc.classify_block_batch(spectra), spectra)
-
-    def test_tie_in_a_later_step_names_its_batch_row(self):
-        # 81 rows a step at N = 25: row 417 is the 13th row of the sixth step
+    @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
+    def test_class_split_scratch_at_readme_size(self, ensemble):
+        # the README block run's 10,000 rows at N = 25: beyond its three
+        # class arrays the split holds one step's table and scratch, and no
+        # array over the whole batch (3.76 MiB with a 4-byte partner per
+        # eigenvalue, 1.9 MiB of it the partners)
         spectra = blockcirc.batch_block_spectra(
-            blockcirc.sample_gaussian_blocks(25, 600, np.random.default_rng(417))
-        )
-        assert circulant._step_rows(8 * spectra.shape[1]) == 81
-        row = spectra[417]
-        partner = oracles.pair_conjugates(row)
-        i, k = np.flatnonzero(np.arange(row.size) < partner)[:2]
-        row[k], row[partner[k]] = row[i], row[partner[i]]  # duplicate a conjugate pair
-        with pytest.raises(ValueError, match="spectrum row 417 "):
-            blockcirc._pair_batch(spectra)
-        with pytest.raises(ValueError, match="spectrum row 417 "):
-            blockcirc.classify_block_batch(spectra)
-
-    @pytest.mark.parametrize(
-        "sampler, low, high",
-        [(blockcirc.sample_gaussian_blocks, 0, 0), (blockcirc.sample_ising_blocks, 1, 14)],
-    )
-    def test_share_of_rows_with_a_wide_window(self, sampler, low, high):
-        # at most 14 of 300 (under 5 %); seed 25 gives 2 chain rows
-        spectra = blockcirc.batch_block_spectra(sampler(25, 300, np.random.default_rng(25)))
-        assert low <= len(_wide_window_rows(spectra)) <= high
-        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
-
-    def test_scratch_grows_with_the_row_length(self):
-        # 64 chain rows at N = 250: the pairing holds a few arrays of one
-        # step's rows, far below one row's 500 x 500 distance matrix (5.7 MiB)
-        spectra = blockcirc.batch_block_spectra(
-            blockcirc.sample_ising_blocks(250, 64, np.random.default_rng(7))
+            _SAMPLERS[ensemble](25, 10_000, np.random.default_rng(7))
         )
         tracemalloc.start()
         try:
-            partner = blockcirc._pair_batch(spectra)
+            classes = blockcirc.classify_block_batch(spectra)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-        assert np.array_equal(partner, _greedy_pairing(spectra))
-
-    def test_partners_are_four_byte_indices(self):
-        # every index is below 2N, and the partners stay alive through the
-        # whole class split, so they take 4 bytes an eigenvalue, not 8
-        spectra = blockcirc.batch_block_spectra(
-            blockcirc.sample_ising_blocks(25, 300, np.random.default_rng(9))
-        )
-        partner = blockcirc._pair_batch(spectra)
-        assert partner.dtype.itemsize == 4
-        assert np.array_equal(partner, _greedy_pairing(spectra))
+        assert peak < sum(values.nbytes for values in classes) + 2.5 * 2**20
 
 
 class TestExactTwins:
@@ -554,23 +406,23 @@ class TestExactTwins:
     @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
     def test_twin_one_ulp_off_is_refused(self, ensemble):
         # 26 rows a step at N = 25: row 41 is in the second step.  One ulp is
-        # far inside the pairing tolerance, so only the twin check refuses it
+        # far inside the tolerance, and the greedy oracle pairs the row, but
+        # the twin check refuses it
         spectra = blockcirc.batch_block_spectra(_SAMPLERS[ensemble](25, 60, np.random.default_rng(3)))
         assert circulant._step_rows(50 * 49 // 2) == 26
         row = spectra[41]
         row[48] = complex(np.nextafter(row[48].real, np.inf), row[48].imag)  # E+ of mode 24
-        assert np.array_equal(blockcirc._pair_batch(spectra), _greedy_pairing(spectra))
-        with pytest.raises(ValueError, match="spectrum row 41 has no exact twins"):
+        oracles.pair_conjugates(row)
+        with pytest.raises(ValueError, match="spectrum row 41 cannot be paired"):
             blockcirc.classify_block_batch(spectra)
 
     def test_chain_twins_are_by_mode_not_by_tolerance(self):
         # at N = 24 the chain's modes 8 and 16 hold eigenvalues with |Im| near
         # 1e-16, which the tolerance calls real, so each is its own partner;
         # its twin is its conjugate in the other mode
-        spectra = blockcirc.batch_block_spectra(
-            blockcirc.sample_ising_blocks(24, 40, np.random.default_rng(24))
-        )
-        partner = blockcirc._pair_batch(spectra)
+        blocks = blockcirc.sample_ising_blocks(24, 40, np.random.default_rng(24))
+        spectra = blockcirc.batch_block_spectra(blocks)
+        partner = [blockcirc.eigenvalues_block(BlockCirculant(b)).partner for b in blocks]
         idx = np.arange(48)
         for row, part in zip(spectra, partner):
             moved = (part == idx) & (oracles.block_twins(row) != idx)
@@ -584,7 +436,7 @@ class TestExactTwins:
             a, b = oracles.spacing_pairs(circulant.Spectrum(row, part))[1]
             first = oracles.first_of_twins(part, a, b)
             by_partner.append(np.abs(row[a[first]] - row[b[first]]))
-        assert got[1].values.tobytes() != np.concatenate(by_partner).tobytes()
+        assert got[1].tobytes() != np.concatenate(by_partner).tobytes()
 
 
 class TestModesWithoutConjugates:
@@ -645,7 +497,7 @@ class TestGaussianBlockLaws:
         cc, rc, gen = blockcirc.classify_block_batch(spectra)
         laws = (stats.cdf_cc, stats.cdf_rc, stats.cdf_generic)
         for klass, sample, cdf in zip(("cc", "rc", "generic"), (cc, rc, gen), laws):
-            z = stats.normalize_unit_mean(sample.values)
+            z = stats.normalize_unit_mean(sample)
             rep = stats.ks_statistic(np.sort(z), cdf, 0.02)
             assert rep.passed, (klass, rep.ks_distance)
 
@@ -677,7 +529,7 @@ class TestIsingEnsembleStatistics:
         diag = {}
         laws = (stats.cdf_rc, stats.cdf_generic, stats.cdf_cc)
         for klass, sample, cdf in zip(("rc", "generic", "cc"), (rc, gen, cc), laws):
-            z = stats.normalize_unit_mean(sample.values)
+            z = stats.normalize_unit_mean(sample)
             rep = stats.ks_statistic(np.sort(z), cdf, 1.0)
             tail_mass = float(np.mean(z > 3.0))
             diag[klass] = (rep.ks_distance, tail_mass)
@@ -685,7 +537,7 @@ class TestIsingEnsembleStatistics:
             "coupled-chain (KS against the scalar law, tail mass) diagnostics "
             f"(recorded, not asserted): {diag}"
         )
-        z = stats.normalize_unit_mean(cc.values)
+        z = stats.normalize_unit_mean(cc)
         ref = oracles.coupled_chain_cc_spacings(25, 20_000, np.random.default_rng(161))
         ks = stats.ks_two_sample(z, ref / ref.mean())
         assert ks < 0.05, (

@@ -153,7 +153,7 @@ class TestSpacingCyclic:
         ["1e-6", "1e-9", "1e-12", "1e-170", "1e-200", "1e-300", "2.2250738585072014e-308"],
     )
     def test_gaussian_blocks_are_scale_free(self, tmp_path, scale):
-        # the pairing tolerance is relative and each 2x2 eigensolve is scaled
+        # the real tolerance is relative and each 2x2 eigensolve is scaled
         # by a power of two, so shrinking every block entry moves no
         # eigenvalue between the classes, even where the unscaled products in
         # the discriminant would underflow (below about 1e-160), down to the
@@ -351,8 +351,8 @@ class TestBadArguments:
             (["spacing2x2", "--family", "f1", "--count", "1000", "--sigma", "1e-300"],
              "f1 products bc", "--sigma"),
             # the chain's fixed -1/2 entries keep max|E| >= (N-1)/2, so at a
-            # tiny scale every eigenvalue is within the relative pairing
-            # tolerance of the real axis and all three classes are empty
+            # tiny scale every eigenvalue is within the relative tolerance of
+            # the real axis and all three classes are empty
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",
               "--block-scale", "1e-150"], "no cc, rc or generic spacings", "--block-scale"),
             (["spacing-cyclic", "--n", "25", "--count", "50", "--blocks", "ising",

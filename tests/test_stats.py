@@ -13,7 +13,6 @@ from scipy import integrate
 
 import oracles
 from phrmt import circulant, pseudo2x2, stats
-from phrmt.circulant import SpacingSample
 
 
 class TestHistogram:
@@ -240,13 +239,6 @@ class TestSortedPassMatchesOracles:
             (2 * h.counts).tolist(), 2 * h.total, 2 * h.n_out
         )
         assert h2.densities().tobytes() == h.densities().tobytes()
-
-    @pytest.mark.parametrize("multiplicity", [0, -1, 2.5])
-    def test_multiplicity_must_be_a_positive_integer(self, multiplicity):
-        # each value stands for a whole number of pairs, at least one
-        x = np.array([0.5, 1.0, 2.0])
-        with pytest.raises(ValueError, match="multiplicity"):
-            SpacingSample(x, multiplicity)
 
     def test_sorted_pass_scratch_is_bounded(self):
         # normalise, sort, histogram and KS of one class hold the sample once
