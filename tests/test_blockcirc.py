@@ -388,6 +388,26 @@ class TestBatchedPairing:
         assert peak < sum(values.nbytes for values in classes) + 2.5 * 2**20
 
 
+class TestSortedScreen:
+    """``_pair_rows`` must give the greedy oracle's partners whatever the
+    batch size and the scale of the spectra: a one-row batch through
+    ``eigenvalues_block``, and whole batches scaled far below 1."""
+
+    @pytest.mark.parametrize("sampler", [blockcirc.sample_gaussian_blocks, blockcirc.sample_ising_blocks])
+    def test_spectra_scaled_by_2_to_the_minus_500(self, sampler):
+        spectra = blockcirc.batch_block_spectra(sampler(25, 300, np.random.default_rng(7)))
+        tiny = spectra * 2.0**-500
+        maps = blockcirc._twin_maps(spectra.shape[1])
+        partner, _ = blockcirc._pair_rows(tiny, 0, *maps)
+        assert np.array_equal(partner, [oracles.pair_conjugates(row) for row in tiny])
+        assert np.array_equal(partner, blockcirc._pair_rows(spectra, 0, *maps)[0])
+
+    @pytest.mark.parametrize("instance", [_gauss_instance, _ising_instance])
+    def test_one_row_batch_through_eigenvalues_block(self, instance):
+        spec = blockcirc.eigenvalues_block(instance(25, np.random.default_rng(3)))
+        assert np.array_equal(spec.partner, oracles.pair_conjugates(spec.eigs))
+
+
 class TestExactTwins:
     """Mode N-l is written as the conjugates of mode l, so every eigenvalue's
     twin (``oracles.block_twins``) is its conjugate bit for bit, and the class
