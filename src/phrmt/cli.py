@@ -137,19 +137,26 @@ def _write_manifest(out: OutputDir, args) -> None:
 
 
 def _cpu_threads() -> int:
-    """Worker count of the sampling pools: every CPU, read when called."""
+    """Worker count of the sampling pools: the CPUs this process may run on,
+    read when called.  That is the size of its affinity mask where the
+    platform has one (``taskset`` or a cpuset makes it smaller than the
+    machine's CPU count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def _pool_map(fn, threads: int, *iterables) -> list:
-    """``list(map(fn, *iterables))`` over a pool of ``threads`` workers; one
-    item or one thread runs on the calling thread (see docs/decisions.md)."""
+    """``list(map(fn, *iterables))`` over at most ``threads`` workers, and no
+    more than there are CPUs or items; one worker runs on the calling thread
+    (see docs/decisions.md)."""
     items = list(zip(*iterables))
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, _cpu_threads(), len(items))
+    if workers <= 1:
         return [fn(*item) for item in items]
     import concurrent.futures  # it imports logging, which one thread never needs
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda item: fn(*item), items))
 
 
@@ -588,7 +595,7 @@ def _add_spacing_options(sp):
         "--threads",
         type=_int_at_least(1),
         default=_cpu_threads(),
-        help="worker pool size",
+        help="sampling workers, at most one per CPU the process may use (default: that many)",
     )
     sp.add_argument("--bins", type=_int_at_least(1), default=50, help="histogram bins")
     sp.add_argument(
@@ -707,6 +714,13 @@ def _dispatch(args) -> list[stats.GofReport]:
 
 
 def main(argv=None) -> int:
+    # numpy.random.bit_generator imports secrets, for the entropy of seedless
+    # generators (every stream here is seeded); secrets imports hmac, and hmac
+    # imports _hashlib, which maps OpenSSL's libcrypto: 3.4 MiB of peak RSS.
+    # Blocked, hashlib and hmac fall back to CPython's built-in hashes.  A
+    # process that loaded _hashlib before calling main keeps it (see
+    # docs/decisions.md, "What a CLI process loads")
+    sys.modules.setdefault("_hashlib", None)
     try:
         args = _parse_args(_build_parser(), argv)
         reports = _dispatch(args)

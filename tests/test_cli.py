@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -212,7 +214,7 @@ class TestDeterminism:
         args = ["rmt-decay", "--t-max", "7", "--n", "9", "--realizations", "50", "--seed", "6"]
         csvs = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(cli, "_cpu_threads", lambda: cpus)
             assert run(*args, "--out", str(tmp_path / f"w{cpus}")) == cli.EXIT_OK
             csvs.append((tmp_path / f"w{cpus}" / "decay.csv").read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
@@ -230,7 +232,7 @@ class TestDeterminism:
                 return _fn(*a)
 
             monkeypatch.setattr(walk, name, counting)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_cpu_threads", lambda: 2)
         args = ["rmt-decay", "--t-max", "7", "--n", "9", "--realizations", "50", "--seed", "6"]
         assert run(*args, "--out", str(tmp_path / "out")) == cli.EXIT_OK
         assert sorted(calls) == [names[0]] * 8 + [names[1]] * 8
@@ -275,6 +277,27 @@ class TestDeterminism:
         replayed = tmp_path / "replayed"
         assert run("replay", "--manifest", str(old), "--out", str(replayed)) == cli.EXIT_OK
         assert (out / "walk.csv").read_bytes() == (replayed / "walk.csv").read_bytes()
+
+
+class TestWorkerPool:
+    def test_workers_are_capped_by_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_cpu_threads", lambda: 2)
+
+        def ident(i):
+            time.sleep(0.01)  # busy workers: a pool of 64 would start more
+            return i, threading.get_ident()
+
+        got = cli._pool_map(ident, 64, range(8))
+        assert [i for i, _ in got] == list(range(8))
+        assert 1 < len({t for _, t in got}) <= 2
+
+    def test_cpu_count_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert cli._cpu_threads() == 3
+        # where the platform has no affinity call, every CPU
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._cpu_threads() == 64
 
 
 class TestBadArguments:
@@ -752,8 +775,24 @@ if sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
 phrmt = sorted(m.removeprefix("phrmt.") for m in sys.modules if m.startswith("phrmt."))
-print(json.dumps([code, phrmt, "concurrent.futures" in sys.modules]))
+seen = {
+    "concurrent.futures": "concurrent.futures" in sys.modules,
+    "_hashlib": sys.modules.get("_hashlib") is not None,
+}
+import hashlib, hmac
+seen["digests"] = [
+    hashlib.sha256(b"x").hexdigest(),
+    hmac.new(b"key", b"The quick brown fox jumps over the lazy dog", "sha256").hexdigest(),
+]
+print(json.dumps([code, phrmt, seen]))
 """
+
+# SHA-256 of b"x", and HMAC-SHA256 of the pangram under the key b"key", as
+# every correct implementation gives them
+_STANDARD_DIGESTS = [
+    "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881",
+    "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8",
+]
 
 
 class TestModuleSets:
@@ -765,10 +804,12 @@ class TestModuleSets:
     NEVER_FOR_WALK = {"blockcirc", "circulant", "stats", "pseudo2x2"}
 
     @staticmethod
-    def probe(tmp_path, *argv) -> tuple[int | None, set[str], bool]:
-        """Exit code, library modules loaded besides ``cli``, and whether
-        ``concurrent.futures`` is loaded, after ``import phrmt.cli`` and,
-        given argv, ``cli.main(argv)``."""
+    def probe(tmp_path, *argv) -> tuple[int | None, set[str], dict]:
+        """Exit code, library modules loaded besides ``cli``, and what else
+        was seen, after ``import phrmt.cli`` and, given argv,
+        ``cli.main(argv)``: whether ``concurrent.futures`` and ``_hashlib``
+        (OpenSSL) are loaded, and then the digests of ``hashlib.sha256`` and
+        ``hmac.new`` in that process."""
         src = str(Path(cli.__file__).parents[1])
         path = [src, os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -776,14 +817,14 @@ class TestModuleSets:
             [sys.executable, "-c", _MODULE_PROBE, *argv], cwd=tmp_path, env=env,
             capture_output=True, text=True, timeout=120, check=True,
         )
-        code, modules, futures = json.loads(proc.stdout.splitlines()[-1])
+        code, modules, seen = json.loads(proc.stdout.splitlines()[-1])
         assert "cli" in modules
-        return code, set(modules) - {"cli"}, futures
+        return code, set(modules) - {"cli"}, seen
 
     def test_import_loads_no_library_module(self, tmp_path):
-        code, loaded, futures = self.probe(tmp_path)
+        code, loaded, seen = self.probe(tmp_path)
         assert loaded == set()
-        assert not futures  # it imports logging
+        assert not seen["concurrent.futures"]  # it imports logging
 
     @pytest.mark.parametrize(
         "argv, never",
@@ -802,10 +843,14 @@ class TestModuleSets:
              "ising"],
     )
     def test_command_loads_only_what_it_runs(self, tmp_path, argv, never):
-        code, loaded, _ = self.probe(tmp_path, *argv, "--out", "run")
+        code, loaded, seen = self.probe(tmp_path, *argv, "--out", "run")
         assert code == cli.EXIT_OK
         assert (tmp_path / "run" / "manifest.json").exists()
         assert loaded and loaded.isdisjoint(never), loaded & never
+        # numpy.random would load OpenSSL through secrets and hmac; main
+        # blocks it, and hashing still gives the standard digests
+        assert not seen["_hashlib"]
+        assert seen["digests"] == _STANDARD_DIGESTS
 
     def test_replay_loads_only_what_the_command_runs(self, tmp_path):
         argv = ["walk", "--sites", "22", "--w", "0.8", "--p", "0.3", "--t-max", "50"]

@@ -469,7 +469,7 @@ class TestDecayMonteCarlo:
         # freeing its scratch before the next
         n, realizations = 32, 2000
         bound = 1.0 * realizations * (n - 1) * 8 + 2**20
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "_cpu_threads", lambda: 1)
         args = argparse.Namespace(t_max=steps - 1, n=n, realizations=realizations, seed=0)
         tracemalloc.start()
         try:
