@@ -147,16 +147,14 @@ def _cpu_threads() -> int:
 
 
 def _pool_map(fn, threads: int, *iterables) -> list:
-    """``list(map(fn, *iterables))`` over at most ``threads`` workers, and no
-    more than there are CPUs or items; one worker runs on the calling thread
-    (see docs/decisions.md)."""
+    """``list(map(fn, *iterables))`` over a pool of ``threads`` workers; one
+    item or one thread runs on the calling thread (see docs/decisions.md)."""
     items = list(zip(*iterables))
-    workers = min(threads, _cpu_threads(), len(items))
-    if workers <= 1:
+    if threads <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
     import concurrent.futures  # it imports logging, which one thread never needs
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda item: fn(*item), items))
 
 
@@ -595,7 +593,7 @@ def _add_spacing_options(sp):
         "--threads",
         type=_int_at_least(1),
         default=_cpu_threads(),
-        help="sampling workers, at most one per CPU the process may use (default: that many)",
+        help="worker pool size (default: the CPUs the process may use)",
     )
     sp.add_argument("--bins", type=_int_at_least(1), default=50, help="histogram bins")
     sp.add_argument(
@@ -714,13 +712,6 @@ def _dispatch(args) -> list[stats.GofReport]:
 
 
 def main(argv=None) -> int:
-    # numpy.random.bit_generator imports secrets, for the entropy of seedless
-    # generators (every stream here is seeded); secrets imports hmac, and hmac
-    # imports _hashlib, which maps OpenSSL's libcrypto: 3.4 MiB of peak RSS.
-    # Blocked, hashlib and hmac fall back to CPython's built-in hashes.  A
-    # process that loaded _hashlib before calling main keeps it (see
-    # docs/decisions.md, "What a CLI process loads")
-    sys.modules.setdefault("_hashlib", None)
     try:
         args = _parse_args(_build_parser(), argv)
         reports = _dispatch(args)
@@ -744,5 +735,31 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def _builtin_hashes() -> bool:
+    """Whether this CPython build has its own md5, sha1, sha2, sha3 and
+    blake2 modules, which ``hashlib`` and ``hmac`` use when ``_hashlib`` is
+    absent (3.12 and later keep the sha2 family in one module).  A build
+    configured without some of them, as FIPS-oriented ones may be, needs
+    OpenSSL for those hashes, and ``random`` needs sha512."""
+    from importlib.util import find_spec
+
+    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+    return all(find_spec(name) for name in ("_md5", "_sha1", *sha2, "_sha3", "_blake2"))
+
+
+def entry(argv=None) -> int:
+    """Process entry of ``python -m phrmt.cli`` and the ``phrmt`` script:
+    ``main``, with OpenSSL kept out where CPython's own hashes stand in."""
+    # numpy.random.bit_generator imports secrets, for the entropy of seedless
+    # generators (every stream here is seeded); secrets imports hmac, and hmac
+    # imports _hashlib, which maps OpenSSL's libcrypto: 3.4 MiB of peak RSS.
+    # Blocked, hashlib and hmac fall back to CPython's built-in hashes.  Only
+    # the process entry blocks it, so a program that calls main keeps its
+    # OpenSSL (see docs/decisions.md, "What a CLI process loads")
+    if _builtin_hashes():
+        sys.modules.setdefault("_hashlib", None)
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,9 +1,8 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
-import threading
-import time
 from importlib import resources
 from pathlib import Path
 
@@ -279,18 +278,7 @@ class TestDeterminism:
         assert (out / "walk.csv").read_bytes() == (replayed / "walk.csv").read_bytes()
 
 
-class TestWorkerPool:
-    def test_workers_are_capped_by_the_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli, "_cpu_threads", lambda: 2)
-
-        def ident(i):
-            time.sleep(0.01)  # busy workers: a pool of 64 would start more
-            return i, threading.get_ident()
-
-        got = cli._pool_map(ident, 64, range(8))
-        assert [i for i, _ in got] == list(range(8))
-        assert 1 < len({t for _, t in got}) <= 2
-
+class TestCpuThreads:
     def test_cpu_count_is_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -298,6 +286,40 @@ class TestWorkerPool:
         # where the platform has no affinity call, every CPU
         monkeypatch.delattr(cli.os, "sched_getaffinity")
         assert cli._cpu_threads() == 64
+
+
+class TestEntry:
+    """The process entry blocks ``_hashlib`` only where CPython's own hashes
+    stand in for OpenSSL's, and never replaces a loaded one."""
+
+    def test_blocks_openssl_only_with_builtin_hashes(self, monkeypatch):
+        argvs = []
+        monkeypatch.setattr(cli, "main", lambda argv=None: argvs.append(argv) or cli.EXIT_OK)
+        # restored on teardown, whether or not this session loaded _hashlib
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        monkeypatch.delitem(sys.modules, "_hashlib")
+        monkeypatch.setattr(cli, "_builtin_hashes", lambda: False)
+        assert cli.entry(["a"]) == cli.EXIT_OK
+        assert "_hashlib" not in sys.modules
+        monkeypatch.setattr(cli, "_builtin_hashes", lambda: True)
+        loaded = object()
+        sys.modules["_hashlib"] = loaded
+        assert cli.entry(["b"]) == cli.EXIT_OK
+        assert sys.modules["_hashlib"] is loaded
+        del sys.modules["_hashlib"]
+        assert cli.entry(["c"]) == cli.EXIT_OK
+        assert sys.modules["_hashlib"] is None
+        assert argvs == [["a"], ["b"], ["c"]]
+
+    def test_builtin_hashes_need_every_module(self, monkeypatch):
+        sha2 = ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"]
+        names = ["_md5", "_sha1", *sha2, "_sha3", "_blake2"]
+        present = set(names)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: name in present)
+        assert cli._builtin_hashes()
+        for name in names:
+            present = set(names) - {name}
+            assert not cli._builtin_hashes(), name
 
 
 class TestBadArguments:
@@ -769,9 +791,9 @@ _MODULE_PROBE = """
 import json, sys
 from phrmt import cli
 code = None
-if sys.argv[1:]:
+if sys.argv[2:]:
     try:
-        code = cli.main(sys.argv[1:])
+        code = getattr(cli, sys.argv[1])(sys.argv[2:])
     except SystemExit as exc:
         code = exc.code
 phrmt = sorted(m.removeprefix("phrmt.") for m in sys.modules if m.startswith("phrmt."))
@@ -804,17 +826,18 @@ class TestModuleSets:
     NEVER_FOR_WALK = {"blockcirc", "circulant", "stats", "pseudo2x2"}
 
     @staticmethod
-    def probe(tmp_path, *argv) -> tuple[int | None, set[str], dict]:
+    def probe(tmp_path, *argv, call="entry") -> tuple[int | None, set[str], dict]:
         """Exit code, library modules loaded besides ``cli``, and what else
         was seen, after ``import phrmt.cli`` and, given argv,
-        ``cli.main(argv)``: whether ``concurrent.futures`` and ``_hashlib``
-        (OpenSSL) are loaded, and then the digests of ``hashlib.sha256`` and
-        ``hmac.new`` in that process."""
+        ``cli.entry(argv)`` (the process entry) or ``cli.main(argv)``:
+        whether ``concurrent.futures`` and ``_hashlib`` (OpenSSL) are loaded,
+        and then the digests of ``hashlib.sha256`` and ``hmac.new`` in that
+        process."""
         src = str(Path(cli.__file__).parents[1])
         path = [src, os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
-            [sys.executable, "-c", _MODULE_PROBE, *argv], cwd=tmp_path, env=env,
+            [sys.executable, "-c", _MODULE_PROBE, call, *argv], cwd=tmp_path, env=env,
             capture_output=True, text=True, timeout=120, check=True,
         )
         code, modules, seen = json.loads(proc.stdout.splitlines()[-1])
@@ -847,9 +870,19 @@ class TestModuleSets:
         assert code == cli.EXIT_OK
         assert (tmp_path / "run" / "manifest.json").exists()
         assert loaded and loaded.isdisjoint(never), loaded & never
-        # numpy.random would load OpenSSL through secrets and hmac; main
-        # blocks it, and hashing still gives the standard digests
-        assert not seen["_hashlib"]
+        # numpy.random would load OpenSSL through secrets and hmac; the
+        # process entry blocks it where CPython's own hashes stand in, and
+        # hashing still gives the standard digests
+        if cli._builtin_hashes():
+            assert not seen["_hashlib"]
+        assert seen["digests"] == _STANDARD_DIGESTS
+
+    def test_main_keeps_openssl(self, tmp_path):
+        # a program that calls main, not the process entry, keeps its hashing
+        argv = ["spacing-cyclic", "--n", "5", "--count", "50", "--blocks", "gaussian"]
+        code, _, seen = self.probe(tmp_path, *argv, "--out", "run", call="main")
+        assert code == cli.EXIT_OK
+        assert seen["_hashlib"] == (importlib.util.find_spec("_hashlib") is not None)
         assert seen["digests"] == _STANDARD_DIGESTS
 
     def test_replay_loads_only_what_the_command_runs(self, tmp_path):
