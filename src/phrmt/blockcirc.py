@@ -17,11 +17,12 @@ total dimension 2N).  Two ensembles are provided:
 
 Eigenvalues come from the block Fourier reduction: the 2x2 transform blocks
 Ahat_l = sum_p A_p exp(2 pi i p l / N) are diagonalized independently, which
-matches a dense eigensolver on the full matrix.  Both ensembles have spectra
-closed under conjugation mode by mode (mode N-l holds the conjugates of mode
-l), so only modes 0..N/2 are solved and mode N-l is written as the exact
-conjugates of mode l.  Every rc and generic spacing then has a twin of the
-same bits, and ``classify_block_batch`` stores each such pair of twins once.
+matches a dense eigensolver on the full matrix.  ``batch_block_spectra``
+takes these two block forms only, whose spectra are closed under
+conjugation mode by mode (mode N-l holds the conjugates of mode l), so only
+modes 0..N/2 are solved and mode N-l is written as the exact conjugates of
+mode l.  Every rc and generic spacing then has a twin of the same bits,
+and ``classify_block_batch`` stores each such pair of twins once.
 An eigenvalue counts as real within a tolerance relative to its spectrum;
 every other eigenvalue's conjugate partner is its twin, read from its index.
 """
@@ -103,17 +104,17 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
     """Spectra of many block circulants: (count, N, 2, 2) -> (count, 2N),
     with eigenvalue E+ of mode l at index 2l and E- at 2l + 1.
 
-    With U and V the real-input transforms of the real and imaginary parts
-    of the entries, mode l <= N/2 is Ahat_l = conj(U_l) + i conj(V_l) and
-    mode N-l is U_l + i V_l.  Only modes 0..N/2 are solved.  Mode N-l is
-    written as the conjugates of mode l, in the same (E+, E-) order, where
-    its trace and determinant are exactly the conjugates of mode l's (see
-    ``_conjugate_rows``), as in real blocks and in the coupled chain, whose
-    D_(N-l) is conj(D_l).  Then every twin is exact.  A row where some mode
-    is not has its upper modes solved as they are, so its spectrum is right
-    and its twins are not exact.  In modes 0 and N/2, U_l and V_l are real,
-    so an entry part that is exactly zero in every block stays exactly zero
-    there.
+    Every block of a row must have real diagonal entries, and off-diagonal
+    entries both real (the Gaussian form) or both imaginary (the chain); an
+    entry that is zero throughout the row counts as either.  ValueError
+    naming the row by its batch index if not.  With U and V the real-input
+    transforms of the entries' real and imaginary parts, mode l <= N/2 is
+    conj(U_l) + i conj(V_l) and mode N-l is U_l + i V_l, and V00, V11, one of
+    U01 and V10 and one of V01 and U10 are exact zeros, so mode N-l has the
+    conjugate trace and determinant of mode l.  Only modes 0..N/2 are
+    solved, and mode N-l is written as their conjugates in the same (E+, E-)
+    order, so every twin is exact.  In modes 0 and N/2, U_l and V_l are
+    real, so an entry part that is zero in every block stays exactly zero.
 
     The stack is transformed and solved in steps of rows, so beyond its
     spectra a call holds one step's temporaries; a row's eigenvalues depend
@@ -128,9 +129,18 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
     eigs = np.empty((count, n, 2), dtype=complex)
     step = _step_rows(4 * n)  # block entries per row
     for start in range(0, count, step):
-        x = blocks[start : start + step]
-        # one transform of the eight entry parts: real parts at even lanes
-        f = np.fft.rfft(x.view(float).reshape(len(x), n, 8), axis=1)
+        # the eight entry parts of each block, real parts at even lanes, and
+        # whether each is nonzero in some block (a block's flags are one word)
+        x = blocks[start : start + step].view(float).reshape(-1, n, 8)
+        nz = np.bitwise_or.reduce((x != 0).view(np.uint64), axis=1).view(bool)
+        _, v00, u01, v01, u10, v10, _, v11 = nz.T
+        bad = v00 | v11 | (u01 & v10) | (v01 & u10)
+        if bad.any():
+            raise ValueError(
+                f"block row {start + np.argmax(bad)} is of neither block form: a diagonal entry "
+                "is not real, or the off-diagonal ones are not both real or both imaginary"
+            )
+        f = np.fft.rfft(x, axis=1)
         u, v = f[..., ::2].reshape(-1, h, 2, 2), f[..., 1::2].reshape(-1, h, 2, 2)
         lower = np.empty_like(u)
         np.add(u.real, v.imag, out=lower.real)
@@ -138,32 +148,14 @@ def batch_block_spectra(blocks: np.ndarray) -> np.ndarray:
         e = eigs[start : start + step]
         e[:, :h, 0], e[:, :h, 1] = eigenvalues2(lower)
         np.conjugate(e[:, k:0:-1], out=e[:, h:])
-        solve = np.flatnonzero(~_conjugate_rows(f[:, 1 : k + 1]))
-        if solve.size:
-            upper = u[solve, k:0:-1] + 1j * v[solve, k:0:-1]
-            e[solve, h:, 0], e[solve, h:, 1] = eigenvalues2(upper)
     return eigs.reshape(count, -1)
-
-
-def _conjugate_rows(f: np.ndarray) -> np.ndarray:
-    """Rows of a (rows, modes, 8) stack of lane transforms (U00, V00, U01,
-    V01, U10, V10, U11, V11) at modes l in which every mode N-l, U + i V,
-    has exactly the conjugate trace and determinant of mode l,
-    conj(U) + i conj(V), so conjugate eigenvalues.  The traces differ by
-    2i (V00 + V11) and the determinants by 2i (U00 V11 + V00 U11 - U01 V10
-    - V01 U10); both vanish where V00 and V11 are 0 and each of U01 V10 and
-    V01 U10 has a factor 0.  Real blocks have V = 0, and in the chain the
-    lanes V00, V11, U01 and U10 are 0 in every block, so in every mode.  A
-    difference that is only small is no test: near a double root the
-    eigenvalues move by about its square root."""
-    _, v00, u01, v01, u10, v10, _, v11 = np.moveaxis(f == 0, -1, 0)
-    return (v00 & v11 & (u01 | v10) & (v01 | u10)).all(axis=1)
 
 
 def eigenvalues_block(b: BlockCirculant) -> Spectrum:
     """All 2N eigenvalues via the block Fourier reduction, each paired with
     itself if it counts as real and with its twin if not (see
-    ``_pair_rows``, which refuses a spectrum without exact twins)."""
+    ``_pair_rows``).  ValueError for blocks of neither form that
+    ``batch_block_spectra`` takes, whose modes need not be conjugates."""
     eigs = batch_block_spectra(b.blocks[None])
     partner, _ = _pair_rows(eigs, 0, *_twin_maps(eigs.shape[1]))
     return Spectrum(eigs=eigs[0], partner=partner[0])
@@ -206,13 +198,14 @@ def sample_ising_blocks(
     blocks = np.zeros((count, n, 2, 2), dtype=complex)
     blocks[:, 0, 0, 0] = a1
     blocks[:, 0, 1, 1] = a1
-    blocks[:, 0, 0, 1] = 1j * a2
-    blocks[:, 0, 1, 0] = -1j * a2
+    # set as imaginary parts, so real parts stay 0 where a draw overflows
+    blocks[:, 0, 0, 1].imag = a2
+    blocks[:, 0, 1, 0].imag = -a2
     bmat = np.zeros((count, 2, 2), dtype=complex)
     bmat[:, 0, 0] = -0.5
     bmat[:, 1, 1] = -0.5
-    bmat[:, 0, 1] = 1j * b1
-    bmat[:, 1, 0] = 1j * b2
+    bmat[:, 0, 1].imag = b1
+    bmat[:, 1, 0].imag = b2
     blocks[:, 1 : n - 1] = bmat[:, None]
     blocks[:, n - 1] = np.conj(np.swapaxes(bmat, 1, 2))
     return blocks

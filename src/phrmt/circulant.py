@@ -139,25 +139,21 @@ def eigenvalues(c: Circulant) -> Spectrum:
     for bit.  The same path as ``batch_spectra``, so the two agree bit for
     bit.
     """
-    return Spectrum(eigs=_spectra(c.first_row[np.newaxis])[0], partner=_circulant_partner(c.n))
+    return Spectrum(eigs=batch_spectra(c.first_row[None])[0], partner=_circulant_partner(c.n))
 
 
 def batch_spectra(rows: np.ndarray) -> np.ndarray:
-    """Eigenvalues of many circulants at once: (count, n) -> (count, n)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("batch_spectra expects a (count, n) array")
-    return _spectra(rows)
-
-
-def _spectra(rows: np.ndarray) -> np.ndarray:
-    """``fourier(rows)`` of real rows, from the real-input transform.
+    """Eigenvalues of many circulants at once: (count, n) -> (count, n),
+    ``fourier(rows)`` of real rows, from the real-input transform.
 
     With R = rfft(row), e[l] = conj(R[l]) for l <= n/2 and e[n-l] = R[l], so
     e[n-l] == conj(e[l]) exactly, and e[0] (and e[n/2] at even n) have
     imaginary part 0: every rc and generic spacing has an exact twin (see
     ``classify_spacings_batch``).
     """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("batch_spectra expects a (count, n) array")
     n = rows.shape[1]
     half = np.fft.rfft(rows)
     h = half.shape[1]  # n // 2 + 1

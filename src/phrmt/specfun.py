@@ -5,7 +5,7 @@ fractions) so the numerical core carries no dependency beyond numpy.
 ``bessel_i0``, ``bessel_k0`` and ``erf`` act element by element on arrays,
 returning a float for scalar input; ``lower_incomplete_gamma`` and
 ``hyp2f1_series`` take and return Python floats.  ``fourier`` is
-numpy's FFT in the convention below, along any axis of an array.
+numpy's FFT in the convention below, along the last axis of an array.
 
 Conventions
 -----------
@@ -257,14 +257,14 @@ def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
 # Discrete Fourier transform
 # ---------------------------------------------------------------------------
 
-def fourier(x, axis: int = -1) -> np.ndarray:
-    """Unnormalized positive-exponent transform along one axis.
+def fourier(x) -> np.ndarray:
+    """Unnormalized positive-exponent transform along the last axis.
 
-    out[..., l, ...] = sum_p x[..., p, ...] exp(+2*pi*i*p*l/n), with n the
-    length of ``axis``; that is n times numpy's inverse FFT.
+    out[..., l] = sum_p x[..., p] exp(+2*pi*i*p*l/n), with n the length of
+    the last axis; that is n times numpy's inverse FFT.
     """
     x = np.asarray(x)
-    n = x.shape[axis]
+    n = x.shape[-1]
     if n == 0:
         raise ValueError("Fourier transform of an empty axis is undefined")
-    return n * np.fft.ifft(x, axis=axis)
+    return n * np.fft.ifft(x)

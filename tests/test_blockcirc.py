@@ -460,8 +460,9 @@ class TestExactTwins:
 
 
 class TestModesWithoutConjugates:
-    """A complex block row whose spectrum is not closed under conjugation
-    gets its upper modes solved as they are, not written as conjugates."""
+    """A block row of neither form ``batch_block_spectra`` takes, whose
+    spectrum need not be closed under conjugation mode by mode, is refused
+    by its batch row before any mode is solved."""
 
     @staticmethod
     def _row():
@@ -473,37 +474,68 @@ class TestModesWithoutConjugates:
         blocks[0] = np.diag([1.0, 3.0]) - blocks[1:].sum(axis=0)
         return blocks
 
-    def test_spectrum_matches_the_dense_one(self):
-        blocks = self._row()
-        dense = np.linalg.eigvals(BlockCirculant(blocks).dense())
-        assert oracles.multiset_distance(dense, dense.conj()) > 1.0
-        # alone, and as one row among chain rows, which keep their exact twins
-        stack = blockcirc.sample_ising_blocks(5, 7, np.random.default_rng(12))
-        stack[3] = blocks
-        spectra = blockcirc.batch_block_spectra(stack)
-        assert oracles.multiset_distance(spectra[3], dense) <= 1e-9
-        alone = blockcirc.batch_block_spectra(blocks[None])[0]
-        assert oracles.multiset_distance(alone, dense) <= 1e-9
-        for row in np.delete(spectra, 3, axis=0):
-            assert np.array_equal(row[oracles.block_twins(row)], row.conj())
-
-    def test_eigenvalues_block_refuses_it(self):
-        with pytest.raises(ValueError, match="spectrum row 0 cannot be paired"):
-            blockcirc.eigenvalues_block(BlockCirculant(self._row()))
-
-    def test_nearly_closed_row_is_solved(self):
+    @staticmethod
+    def _jordan_row():
         # every mode is the Jordan block [[1, 1], [0, 1]] plus i 1e-10 (w^l - 1)
         # in entry (1, 0): mode N-l is conjugate to mode l only to about
         # 1e-10, and its eigenvalues, 1 +- sqrt of that entry, to about 1e-5
         blocks = np.zeros((5, 2, 2), dtype=complex)
         blocks[0] = [[1.0, 1.0], [-1e-10j, 1.0]]
         blocks[1, 1, 0] = 1e-10j
+        return blocks
+
+    def test_row_is_refused_alone_and_among_chain_rows(self):
+        blocks = self._row()
+        dense = np.linalg.eigvals(BlockCirculant(blocks).dense())
+        assert oracles.multiset_distance(dense, dense.conj()) > 1.0
+        with pytest.raises(ValueError, match="block row 0 is of neither block form"):
+            blockcirc.batch_block_spectra(blocks[None])
+        stack = blockcirc.sample_ising_blocks(5, 7, np.random.default_rng(12))
+        stack[3] = blocks
+        with pytest.raises(ValueError, match="block row 3 is of neither block form"):
+            blockcirc.batch_block_spectra(stack)
+
+    def test_eigenvalues_block_refuses_it(self):
+        with pytest.raises(ValueError, match="block row 0 is of neither block form"):
+            blockcirc.eigenvalues_block(BlockCirculant(self._row()))
+
+    def test_nearly_closed_row_is_refused(self):
+        # conjugates of its lower modes were 1.5e-5 from the dense spectrum:
+        # the check is on exact zeros, not a tolerance
+        blocks = self._jordan_row()
         dense = np.linalg.eigvals(BlockCirculant(blocks).dense())
         assert oracles.multiset_distance(dense, dense.conj()) > 1e-6
-        spectra = blockcirc.batch_block_spectra(blocks[None])[0]
-        assert oracles.multiset_distance(spectra, dense) <= 1e-9
-        with pytest.raises(ValueError, match="spectrum row 0 cannot be paired"):
+        with pytest.raises(ValueError, match="block row 0 is of neither block form"):
+            blockcirc.batch_block_spectra(blocks[None])
+        with pytest.raises(ValueError, match="block row 0 is of neither block form"):
             blockcirc.eigenvalues_block(BlockCirculant(blocks))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)], ids="{0[0]}{0[1]}".format)
+    @pytest.mark.parametrize("ensemble", sorted(_SAMPLERS))
+    def test_one_part_off_the_form_is_refused(self, ensemble, entry):
+        # an imaginary part on the diagonal, or off it a part of the other
+        # kind than the form's, in one block of row 350, in the second step
+        stack = _SAMPLERS[ensemble](25, 400, np.random.default_rng(4))
+        assert circulant._step_rows(4 * 25) == 327
+        off_diagonal_real = ensemble == "ising" and entry[0] != entry[1]
+        stack[350, 7][entry] += 1e-300 if off_diagonal_real else 1e-300j
+        with pytest.raises(ValueError, match="block row 350 is of neither block form"):
+            blockcirc.batch_block_spectra(stack)
+
+    def test_zero_entry_and_negative_zeros_count_as_either_part(self):
+        # entry (0, 1) zero throughout: a real diagonal beside a complex
+        # entry (1, 0) makes block triangular modes, closed under
+        # conjugation; conjugated real blocks have imaginary parts -0.0
+        rng = np.random.default_rng(5)
+        blocks = np.zeros((6, 2, 2), dtype=complex)
+        blocks[:, 0, 0], blocks[:, 1, 1], re, im = rng.normal(size=(4, 6))
+        blocks[:, 1, 0] = re + 1j * im
+        real = blockcirc.sample_gaussian_blocks(6, 1, rng)[0]
+        for row in (blocks, np.conj(real)):
+            spectrum = blockcirc.batch_block_spectra(row[None])[0]
+            dense = np.linalg.eigvals(BlockCirculant(row).dense())
+            assert oracles.multiset_distance(spectrum, dense) <= 1e-9
+            assert np.array_equal(spectrum[oracles.block_twins(spectrum)], spectrum.conj())
 
 
 class TestGaussianBlockLaws:

@@ -234,7 +234,7 @@ class TestClassifySpacings:
         # the complex-to-complex transform is conjugate-symmetric only to
         # rounding at n = 12, so its twins' spacings need not be equal
         rows = np.random.default_rng(44).normal(size=(50, 12))
-        spectra = fourier(rows, axis=-1)
+        spectra = fourier(rows)
         assert not np.array_equal(spectra, circulant.batch_spectra(rows))
         with pytest.raises(ValueError, match="conjugate-symmetric"):
             circulant.classify_spacings_batch(spectra)

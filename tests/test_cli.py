@@ -311,8 +311,15 @@ class TestEntry:
         assert sys.modules["_hashlib"] is None
         assert argvs == [["a"], ["b"], ["c"]]
 
-    def test_builtin_hashes_need_every_module(self, monkeypatch):
-        sha2 = ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"]
+    @pytest.mark.parametrize(
+        "version, sha2",
+        [((3, 11, 0), ["_sha256", "_sha512"]), ((3, 12, 0), ["_sha2"])],
+        ids=["3.11", "3.12"],
+    )
+    def test_builtin_hashes_need_every_module(self, monkeypatch, version, sha2):
+        # 3.12 and later keep the sha2 family in one module; both branches
+        # run on any interpreter
+        monkeypatch.setattr(sys, "version_info", version)
         names = ["_md5", "_sha1", *sha2, "_sha3", "_blake2"]
         present = set(names)
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: name in present)
@@ -379,6 +386,10 @@ class TestBadArguments:
             # the block sums overflow, so the pairing refuses the non-finite rows
             (["spacing-cyclic", "--n", "5", "--count", "200", "--blocks", "gaussian",
               "--block-scale", "1e308"], "spectrum row", "--block-scale"),
+            # the chain's draws overflow; its zero entry parts stay zero, so
+            # the rows pass the block-form check and the pairing refuses them
+            (["spacing-cyclic", "--n", "25", "--count", "200", "--blocks", "ising",
+              "--block-scale", "1e308"], "spectrum row", "--block-scale"),
             # b c overflows, so the f1 spacings are infinite
             (["spacing2x2", "--family", "f1", "--count", "2000", "--sigma", "1e200"],
              "f1 spacings", "--sigma"),
@@ -412,8 +423,8 @@ class TestBadArguments:
             (["spacing2x2", "--family", "f3", "--count", "20", "--epsilon", "1e200"],
              "its square", "--epsilon"),
         ],
-        ids=["weight", "block-scale", "sigma", "sigma-wide-bins", "sigma-subnormal-bins",
-             "f1-bc-underflow-200",
+        ids=["weight", "block-scale", "block-scale-chain", "sigma", "sigma-wide-bins",
+             "sigma-subnormal-bins", "f1-bc-underflow-200",
              "f1-bc-underflow-300", "block-scale-all-real", "block-scale-all-real-cc",
              "block-scale-underflow", "epsilon-underflow", "epsilon-overflow"],
     )
