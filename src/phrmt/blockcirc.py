@@ -6,8 +6,10 @@ total dimension 2N).  Two ensembles are provided:
 * Gaussian form: every block is [[a, -b], [c, a]] with i.i.d. Gaussian
   a, b, c.  The full 2N x 2N matrix is then real and pseudo-orthogonal with
   respect to the block generalized parity Sigma (the scalar parity pattern
-  with each 1 replaced by the symmetric Pauli matrix [[0,1],[1,0]]), and its
-  spacing statistics reproduce the scalar circulant laws.
+  with each 1 replaced by the symmetric Pauli matrix [[0,1],[1,0]]).  Its
+  spacing classes come close to the scalar circulant laws but do not
+  follow them exactly: at N = 25 each class sits 0.005-0.007 in KS
+  distance from its scalar law, and the gap does not shrink with the count.
 
 * Coupled-chain form: first block row (A, B, B, ..., B^dagger) with
   A = [[a1, i a2], [-i a2, a1]] Hermitian and B = [[-1/2, i b1],

@@ -98,10 +98,6 @@ class Spectrum:
         object.__setattr__(self, "eigs", eigs)
         object.__setattr__(self, "partner", partner)
 
-    @property
-    def n(self) -> int:
-        return self.eigs.size
-
 
 def _circulant_partner(n: int) -> np.ndarray:
     return (-np.arange(n)) % n

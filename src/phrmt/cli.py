@@ -3,8 +3,10 @@
 Each subcommand samples an ensemble (or evaluates a law) and returns the
 text of its plot-ready CSV files and JSON goodness-of-fit reports.  Only once
 everything is computed does ``_dispatch`` write them, plus a run manifest
-that can be replayed to reproduce the outputs byte for byte; a failed write
-removes every file of the run.
+that can be replayed to reproduce the outputs byte for byte.  ``OutputDir``
+is the one write path: it checks ``--out`` before computing, stages every
+file as a temporary one and renames them into place together, manifest
+last, so a failed write changes no file already in ``--out``.
 
 Subcommands
 -----------
@@ -60,50 +62,46 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _check_writable(path: Path) -> None:
-    """Raise IOError unless the nearest existing ancestor of ``path`` is a
-    writable directory; creates nothing, so it can run before computing."""
-    ancestor = next(p for p in (path, *path.absolute().parents) if p.exists())
-    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
-        raise IOError(
-            f"output directory {path} is not writable: {ancestor} is not a writable directory"
-        )
-
-
 class OutputDir:
-    """Collects output files; everything is written via a temp file and
-    renamed, and if the run fails its files, and the directories it created,
-    are removed."""
+    """A run's only write path.  Built before the command computes, it
+    refuses a path that cannot be made and written, and creates nothing.
+    ``write_text`` stages each file as ``name.tmp``, ``publish`` renames the
+    staged files into place, and ``rollback`` removes only what the run
+    made: its staged files and the directories it created."""
 
     def __init__(self, path: Path):
         self.path = path
-        self.written: list[Path] = []
+        self.staged: list[Path] = []
+        chain = [path, *path.absolute().parents]
+        missing = next(i for i, p in enumerate(chain) if p.exists())
+        ancestor = chain[missing]
+        if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise IOError(
+                f"output directory {path} is not writable: {ancestor} is not a writable directory"
+            )
         # deepest first, so rollback can remove them in this order
-        self.created = [p for p in (path, *path.absolute().parents) if not p.exists()]
-        try:
-            self.path.mkdir(parents=True, exist_ok=True)
-            probe = self.path / ".write_probe"
-            probe.write_text("")
-            probe.unlink()
-        except OSError as exc:
-            self.rollback()
-            raise IOError(f"output directory {path} is not writable: {exc}") from exc
+        self.created = chain[:missing]
 
     def write_text(self, name: str, text: str) -> Path:
-        target = self.path / name
+        self.path.mkdir(parents=True, exist_ok=True)
         tmp = self.path / (name + ".tmp")
-        try:
-            tmp.write_text(text)
-            tmp.replace(target)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
-        self.written.append(target)
-        return target
+        with open(tmp, "w") as f:
+            # opened, so it is the run's own file, whatever was there before
+            self.staged.append(tmp)
+            f.write(text)
+        return self.path / name
 
-    def rollback(self):
-        for f in self.written:
-            f.unlink(missing_ok=True)
+    def publish(self) -> None:
+        """Rename the staged files into place, in write order.  Each leaves
+        ``staged`` once renamed, so a failed rename leaves rollback only the
+        files not yet published."""
+        while self.staged:
+            self.staged[0].replace(self.staged[0].with_suffix(""))
+            del self.staged[0]
+
+    def rollback(self) -> None:
+        for tmp in self.staged:
+            tmp.unlink(missing_ok=True)
         for d in self.created:
             try:
                 d.rmdir()
@@ -124,16 +122,16 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out: OutputDir, args) -> None:
+def _manifest_text(args, outputs: list[str]) -> str:
     manifest = {
         "command": args.command,
         "params": _params_dict(args),
         "seed": args.seed,
         "version": __version__,
         "created_at": _utc_now(),
-        "outputs": [p.name for p in out.written],
+        "outputs": outputs,
     }
-    out.write_text("manifest.json", _json_text(manifest))
+    return _json_text(manifest)
 
 
 def _cpu_threads() -> int:
@@ -691,20 +689,20 @@ def _dispatch(args) -> list[stats.GofReport]:
     """Run a command, then write its outputs and manifest to ``args.out``.
 
     A command returns the name and text of each output file, in write order,
-    and its goodness-of-fit reports; it writes nothing itself.  So nothing
-    is created before everything is computed, an output path that cannot be
-    written fails before computing, and if a write fails the files and
-    directories the run made are removed.
+    and its goodness-of-fit reports; it writes nothing itself.  So an output
+    path that cannot be written fails before computing, nothing is created
+    before everything is computed, and every file is staged before any is
+    published, so a failed write changes no file already in ``args.out``.
     """
     if args.command == "replay":
         args = _replay_args(args)
-    _check_writable(Path(args.out))
-    files, reports = args.func(args)
     out = OutputDir(Path(args.out))
+    files, reports = args.func(args)
     try:
         for name, text in files.items():
             out.write_text(name, text)
-        _write_manifest(out, args)
+        out.write_text("manifest.json", _manifest_text(args, list(files)))
+        out.publish()
     except BaseException:
         out.rollback()
         raise

@@ -111,7 +111,7 @@ def test_criterion_6_gaussian_block_laws():
     ok = all(r.passed for r in reps.values())
     record_criterion(
         6,
-        "block-circulant classes reproduce scalar laws",
+        "Gaussian-block classes within 0.02 of scalar laws",
         ok,
         " ".join(f"{k}={r.ks_distance:.5f}" for k, r in reps.items()),
     )

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import phrmt
+from phrmt import cli
 
 SRC = Path(phrmt.__file__).parent
 MODULES = ("seeding", "specfun", "circulant", "stats", "pseudo2x2", "blockcirc", "walk")
@@ -89,3 +91,35 @@ def test_keep_entry_is_needed(key):
     assert name in importlib.import_module(f"phrmt.{module}").__all__
     assert _references(module, name) == 0, f"{key} is used by the library; drop it from KEEP"
     assert KEEP[key] == "oracle" or KEEP[key].startswith("criterion ")
+
+
+# Names the benchmark's tracer wraps by module attribute (ROADMAP aim 2,
+# "Keep for the tracer"); a renamed one would leave its span silently empty.
+TRACED = (
+    "cli._dispatch",
+    "cli._chunked_sample",
+    "seeding.spawn_generators",
+    "walk.rmt_decay_monte_carlo",
+    "walk.sample_decay_moduli",
+    "stats.cdf_cc",
+    "stats.cdf_rc",
+    "stats.cdf_generic",
+    "circulant.pdf_cc",
+    "circulant.pdf_rc",
+    "circulant.pdf_generic",
+)
+
+
+@pytest.mark.parametrize("key", TRACED)
+def test_traced_name_exists(key):
+    module, name = key.split(".")
+    assert callable(getattr(importlib.import_module(f"phrmt.{module}"), name, None)), key
+
+
+def test_traced_write_takes_name_and_text_and_returns_the_output_path(tmp_path):
+    params = list(inspect.signature(cli.OutputDir.write_text).parameters)
+    assert params == ["self", "name", "text"]
+    out = cli.OutputDir(tmp_path / "run")
+    assert out.write_text("a.csv", "x\n") == tmp_path / "run" / "a.csv"
+    out.publish()
+    assert (tmp_path / "run" / "a.csv").read_text() == "x\n"

@@ -562,6 +562,86 @@ class TestNothingWrittenOnError:
         assert code == cli.EXIT_USAGE
         assert not out.exists()
 
+    # A run fails after its first file is staged: spacing_cc.csv is staged,
+    # then writing gof_cc.json fails.  The earlier run in the same directory
+    # must come through byte for byte, manifest included.
+    RUN = ("spacing-cyclic", "--n", "5", "--count", "50", "--class", "cc")
+
+    @staticmethod
+    def _files(d: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in d.iterdir() if p.is_file()}
+
+    def _earlier_run(self, out: Path) -> dict[str, bytes]:
+        assert run(*self.RUN, "--seed", "1", "--out", str(out)) == cli.EXIT_OK
+        files = self._files(out)
+        assert sorted(files) == ["gof_cc.json", "manifest.json", "spacing_cc.csv"]
+        return files
+
+    def _fail_on_second_write(self, monkeypatch):
+        write_text = cli.OutputDir.write_text
+        names = []
+
+        def fail_on_second(self, name, text):
+            names.append(name)
+            if len(names) == 2:
+                raise OSError("no space left on device")
+            return write_text(self, name, text)
+
+        monkeypatch.setattr(cli.OutputDir, "write_text", fail_on_second)
+        return names
+
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        before = self._earlier_run(out)
+        names = self._fail_on_second_write(monkeypatch)
+        # another seed, so every file it would write differs from the earlier one
+        assert run(*self.RUN, "--seed", "2", "--out", str(out)) == cli.EXIT_IO
+        assert names == ["spacing_cc.csv", "gof_cc.json"]
+        assert self._files(out) == before
+
+    def test_rollback_leaves_a_directory_in_the_way(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        before = self._earlier_run(out)
+        blocker = out / "gof_cc.json.tmp"
+        blocker.mkdir()
+        (blocker / "keep.txt").write_text("kept")
+        assert run(*self.RUN, "--seed", "2", "--out", str(out)) == cli.EXIT_IO
+        assert "gof_cc.json.tmp" in capsys.readouterr().err
+        assert self._files(out) == before
+        # the run staged spacing_cc.csv.tmp, and removed it
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, blocker.name])
+        assert [p.name for p in blocker.iterdir()] == ["keep.txt"]
+        assert (blocker / "keep.txt").read_text() == "kept"
+
+    def test_failed_replay_in_place_keeps_the_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        before = self._earlier_run(out)
+        self._fail_on_second_write(monkeypatch)
+        # no --out: the replay writes back into the run it replays
+        assert run("replay", "--manifest", str(out / "manifest.json")) == cli.EXIT_IO
+        assert self._files(out) == before
+
+    def test_failed_rename_keeps_the_earlier_manifest(self, tmp_path):
+        # a rename that fails mid-publish leaves the files published before
+        # it, and the earlier manifest, which is renamed last
+        out = tmp_path / "run"
+        before = self._earlier_run(out)
+        (out / "gof_cc.json").unlink()
+        (out / "gof_cc.json").mkdir()
+        assert run(*self.RUN, "--seed", "2", "--out", str(out)) == cli.EXIT_IO
+        after = self._files(out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        assert after["manifest.json"] == before["manifest.json"]
+        assert after["spacing_cc.csv"] != before["spacing_cc.csv"]
+        assert not any((out / "gof_cc.json").iterdir())
+
+    def test_a_write_probe_in_out_survives_a_run(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".write_probe").write_text("mine")
+        assert run(*self.RUN, "--seed", "1", "--out", str(out)) == cli.EXIT_OK
+        assert (out / ".write_probe").read_text() == "mine"
+
 
 class TestSpacing2x2:
     def test_f1_writes_analytic_column_and_report(self, tmp_path):
